@@ -7,7 +7,8 @@ arbitrary-precision values survive any consumer; matrices are row-major
 arrays of such strings.
 
 Exit codes: 0 success, 2 malformed input, 3 non-planar rotation data,
-4 enumeration work bound exceeded.
+4 enumeration work bound exceeded (too many variables for --enum-cap,
+or more states than the fixed budget of 9^8).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 import sys
 
 from .coloring import (
+    ColoringReport,
     arc_partition,
     coloring_equivalent,
     dehn_count_bruteforce,
@@ -73,7 +75,10 @@ def _emit(report: dict, plain_lines, plain: bool) -> None:
 
 
 def _parse_matrix_json(text: str) -> IntMatrix:
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("matrix JSON nests too deeply") from None
     if isinstance(data, dict):
         if "matrix" not in data:
             raise ValueError("matrix object lacks a \"matrix\" key")
@@ -165,11 +170,14 @@ def _cmd_snf(args) -> None:
     _emit(report, ["phi: " + " ".join(str(f) for f in res.phi)], args.plain)
 
 
-def _cmd_colorings(args) -> None:
+def _structure(args) -> tuple[Diagram, ColoringReport]:
     d = _load_diagram(args.path)
     rm = trace_regions(d)
-    s = checkerboard(rm)[args.shading]
-    rep = dehn_structure(d, s, region_map=rm)
+    return d, dehn_structure(d, checkerboard(rm)[args.shading], region_map=rm)
+
+
+def _cmd_colorings(args) -> None:
+    d, rep = _structure(args)
     report = {
         "phi": list(rep.phi),
         "modulus": args.mod,
@@ -182,18 +190,14 @@ def _cmd_colorings(args) -> None:
         f"fox_order_mod_{args.mod}: {report['fox_order_mod_m']}",
     ]
     if args.bruteforce:
-        n = dehn_count_bruteforce(
-            d, args.mod, method="enumerate", region_cap=args.enum_cap)
+        n = dehn_count_bruteforce(d, args.mod, region_cap=args.enum_cap)
         report["bruteforce"] = n
         plain.append(f"bruteforce: {n}")
     _emit(report, plain, args.plain)
 
 
 def _cmd_fox(args) -> None:
-    d = _load_diagram(args.path)
-    rm = trace_regions(d)
-    s = checkerboard(rm)[args.shading]
-    rep = dehn_structure(d, s, region_map=rm)
+    d, rep = _structure(args)
     _, n_arcs = arc_partition(d)
     report = {
         "arc_count": n_arcs,
@@ -231,7 +235,7 @@ def _cmd_realize(args) -> None:
     report = {
         "spec": list(r.spec),
         "diagram": serialize_diagram(r.diagram),
-        "shading": r.shading_index,
+        "shading": 0,
         "matrix": r.goeritz.adjusted.to_lists(),
     }
     plain = [serialize_diagram(r.diagram)] + _matrix_rows(r.goeritz.adjusted)

@@ -3,10 +3,10 @@
 Two routes to the same numbers live here on purpose. The structural
 route reads the invariant factors of an adjusted Goeritz matrix and
 predicts how many colorings exist over any Z/m. The brute-force route
-never looks at a Goeritz matrix: it enumerates assignments (or counts
-kernel vectors of the raw relation matrix) straight from the diagram.
-Tests lean on their agreement, so neither side may borrow from the
-other.
+never looks at a Goeritz matrix or an integer reduction: it enumerates
+assignments straight from the diagram, within a fixed budget of
+states. Tests lean on their agreement, so neither side may borrow from
+the other.
 
 Region colorings obey, at each crossing, the rule that the two
 quadrants flanking one end of the over strand sum to the same value as
@@ -21,15 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagram import Diagram, RegionMap, trace_regions
+from .diagram import Diagram, RegionMap, trace_regions, union_find
 from .goeritz import GoeritzData, goeritz_matrix
-from .intlattice import (
-    GroupDescriptor,
-    IntMatrix,
-    WorkBoundError,
-    invariant_factors,
-    kernel_count_mod,
-)
+from .intlattice import GroupDescriptor, WorkBoundError, invariant_factors
 from .shading import Shading, checkerboard
 
 __all__ = [
@@ -106,7 +100,7 @@ def dehn_structure(
     zeros = sum(1 for f in phi if f == 0)
     torsion = tuple(f for f in phi if f > 1)
     return ColoringReport(
-        dehn=GroupDescriptor(zeros + 1, torsion, leading_free_factor=True),
+        dehn=GroupDescriptor(zeros + 1, torsion),
         fox=GroupDescriptor(zeros, torsion),
         phi=phi,
         goeritz=gd,
@@ -121,14 +115,24 @@ def structure_count(report: ColoringReport, modulus: int, which: str = "dehn") -
     raise ValueError(f"unknown coloring kind: {which!r}")
 
 
+# The largest scan the acceptance tests run: the granny knot's 8
+# regions at m=9. Counting real states, not variables, bounds the work
+# whatever the modulus.
+MAX_STATES = 9 ** 8
+
+
 def _count_solutions(nvars: int, relations, modulus: int) -> int:
     """Count assignments in (Z/modulus)^nvars satisfying linear relations.
 
     relations is a list of (index, coefficient) lists. States are
     scanned in vectorized chunks; coefficients and digits are small, so
-    int64 accumulators cannot overflow.
+    int64 accumulators cannot overflow. Refuses (WorkBoundError) past
+    MAX_STATES states.
     """
     total = modulus ** nvars
+    if total > MAX_STATES:
+        raise WorkBoundError(
+            f"enumeration needs {modulus}^{nvars} states, over the cap of {MAX_STATES}")
     chunk = 1 << 20
     count = 0
     for start in range(0, total, chunk):
@@ -148,45 +152,29 @@ def _count_solutions(nvars: int, relations, modulus: int) -> int:
     return count
 
 
-def _relation_matrix(nvars: int, relations) -> IntMatrix:
-    """Variables as rows, one column per relation."""
-    grid = [[0] * len(relations) for _ in range(nvars)]
-    for j, rel in enumerate(relations):
-        for var, coef in rel:
-            grid[var][j] = coef
-    return IntMatrix.from_rows(grid, len(relations))
-
-
 def dehn_count_bruteforce(
     d: Diagram,
     modulus: int,
     *,
-    method: str = "auto",
+    method: str = "enumerate",
     region_cap: int = 8,
 ) -> int:
     """Count region colorings over Z/modulus without Goeritz machinery.
 
-    method "enumerate" scans all modulus**regions assignments and checks
-    every crossing relation directly; it refuses (WorkBoundError) past
-    ``region_cap`` variables. method "matrix" counts kernel vectors of
-    the raw region-by-crossing relation matrix, which scales but shares
-    integer reduction code with the structural route. "auto" enumerates
-    when it can.
+    Scans all modulus**regions assignments and checks every crossing
+    relation directly. Refuses (WorkBoundError) past ``region_cap``
+    variables or MAX_STATES states. "enumerate" is the only method.
     """
     if modulus < 2:
         raise ValueError("modulus must be at least 2")
+    if method != "enumerate":
+        raise ValueError(f"unknown method: {method!r}")
     rm = trace_regions(d)
+    if rm.region_count > region_cap:
+        raise WorkBoundError(
+            f"{rm.region_count} regions exceeds the enumeration cap {region_cap}")
     relations = [rel.coefficients() for rel in crossing_relations(d, rm)]
-    if method == "auto":
-        method = "enumerate" if rm.region_count <= region_cap else "matrix"
-    if method == "enumerate":
-        if rm.region_count > region_cap:
-            raise WorkBoundError(
-                f"{rm.region_count} regions exceeds the enumeration cap {region_cap}")
-        return _count_solutions(rm.region_count, relations, modulus)
-    if method == "matrix":
-        return kernel_count_mod(_relation_matrix(rm.region_count, relations), modulus)
-    raise ValueError(f"unknown method: {method!r}")
+    return _count_solutions(rm.region_count, relations, modulus)
 
 
 def arc_partition(d: Diagram) -> tuple[dict[int, int], int]:
@@ -198,28 +186,16 @@ def arc_partition(d: Diagram) -> tuple[dict[int, int], int]:
     includes one arc per free circle, numbered after the labeled ones.
     """
     labels = d.edge_labels()
-    parent = {v: v for v in labels}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for c in d.crossings:
-        ra, rb = find(c.slots[1]), find(c.slots[3])
-        if ra != rb:
-            parent[rb] = ra
-    roots = sorted({find(v) for v in labels})
-    root_index = {r: i for i, r in enumerate(roots)}
-    return {v: root_index[find(v)] for v in labels}, len(roots) + d.free_circles
+    root = union_find(labels, ((c.slots[1], c.slots[3]) for c in d.crossings))
+    root_index = {r: i for i, r in enumerate(sorted(set(root.values())))}
+    return {v: root_index[root[v]] for v in labels}, len(root_index) + d.free_circles
 
 
 def fox_count_bruteforce(d: Diagram, modulus: int, *, arc_cap: int = 8) -> int:
     """Count arc colorings over Z/modulus by direct enumeration.
 
     At every crossing twice the over-arc equals the sum of the two
-    under-arc ends. Refuses past ``arc_cap`` arcs.
+    under-arc ends. Refuses past ``arc_cap`` arcs or MAX_STATES states.
     """
     if modulus < 2:
         raise ValueError("modulus must be at least 2")

@@ -31,6 +31,7 @@ __all__ = [
     "serialize_diagram",
     "trace_regions",
     "underlying_components",
+    "union_find",
     "disjoint_union",
 ]
 
@@ -144,31 +145,38 @@ def _mate_table(d: Diagram) -> dict[tuple[int, int], tuple[int, int]]:
     return mate
 
 
-def underlying_components(d: Diagram) -> tuple[tuple[int, ...], ...]:
-    """Crossing indices grouped by connectivity of the underlying curve,
-    each group ascending, groups ordered by their smallest member.
-    Free circles are not included; they never touch a crossing."""
-    n = d.crossing_count
-    parent = list(range(n))
+def union_find(items, pairs) -> dict:
+    """Map each item to the root of its class once every pair is joined.
 
-    def find(x: int) -> int:
+    Pairs are joined in order, the second root hanging under the first,
+    so the roots themselves (not only the classes) follow the pair order.
+    """
+    parent = {x: x for x in items}
+
+    def find(x):
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
+    return {x: find(x) for x in parent}
+
+
+def underlying_components(d: Diagram) -> tuple[tuple[int, ...], ...]:
+    """Crossing indices grouped by connectivity of the underlying curve,
+    each group ascending, groups ordered by their smallest member.
+    Free circles are not included; they never touch a crossing."""
+    # Every crossing is joined to the first crossing holding each of its labels.
     owners: dict[int, int] = {}
-    for ci, c in enumerate(d.crossings):
-        for v in c.slots:
-            if v in owners:
-                ra, rb = find(owners[v]), find(ci)
-                if ra != rb:
-                    parent[rb] = ra
-            else:
-                owners[v] = ci
+    root = union_find(range(d.crossing_count), (
+        (owners.setdefault(v, ci), ci) for ci, c in enumerate(d.crossings) for v in c.slots))
     groups: dict[int, list[int]] = {}
-    for ci in range(n):
-        groups.setdefault(find(ci), []).append(ci)
+    for ci in range(d.crossing_count):
+        groups.setdefault(root[ci], []).append(ci)
     return tuple(tuple(g) for g in sorted(groups.values(), key=lambda g: g[0]))
 
 

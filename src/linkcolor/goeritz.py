@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import Diagram, RegionMap
+from .diagram import Diagram, RegionMap, union_find
 from .intlattice import IntMatrix
-from .shading import Shading, checkerboard_graphs
+from .shading import Shading, shaded_pair
 
 __all__ = [
     "GoeritzData",
@@ -30,16 +30,13 @@ __all__ = [
     "goeritz_matrix",
 ]
 
+# Crossing sign by shaded_pair: under-strand quadrants shaded, over-strand.
+_SIGN = (-1, 1)
+
 
 def goeritz_index(rm: RegionMap, s: Shading, crossing: int) -> int:
     """Sign of one crossing: -1 if the under-strand quadrants are shaded."""
-    quads = rm.quadrant_region[crossing]
-    shaded = {q for q in range(4) if s.shade[quads[q]]}
-    if shaded == {0, 2}:
-        return -1
-    if shaded == {1, 3}:
-        return 1
-    raise RuntimeError("shading does not alternate around a crossing")
+    return _SIGN[shaded_pair(s, rm.quadrant_region[crossing])]
 
 
 @dataclass(frozen=True)
@@ -63,24 +60,25 @@ def goeritz_matrix(d: Diagram, rm: RegionMap, s: Shading) -> GoeritzData:
     col = {r: i for i, r in enumerate(regions)}
     n = len(regions)
     grid = [[0] * n for _ in range(n)]
-    for c in range(d.crossing_count):
-        quads = rm.quadrant_region[c]
-        eta = goeritz_index(rm, s, c)
-        touched = [col[quads[q]] for q in range(4) if not s.shade[quads[q]]]
-        i, j = touched
+    shaded_edges = []
+    for quads in rm.quadrant_region:
+        p = shaded_pair(s, quads)
+        shaded_edges.append((quads[p], quads[p + 2]))
+        i, j = col[quads[1 - p]], col[quads[3 - p]]
         if i != j:
+            # Off the diagonal -eta; the diagonal keeps every row sum 0.
+            eta = _SIGN[p]
             grid[i][j] -= eta
             grid[j][i] -= eta
-    # Diagonal by complementation: every row of the full form sums to 0.
-    for i in range(n):
-        grid[i][i] = -sum(grid[i][j] for j in range(n) if j != i)
-    shaded_graph, _ = checkerboard_graphs(d, rm, s)
+            grid[i][i] += eta
+            grid[j][j] += eta
+    beta_s = len(set(union_find(s.shaded_regions(), shaded_edges).values()))
     matrix = IntMatrix.from_rows(grid, n)
     return GoeritzData(
         unshaded_regions=regions,
         matrix=matrix,
-        beta_s=shaded_graph.component_count,
-        adjusted=adjusted_goeritz(matrix, shaded_graph.component_count),
+        beta_s=beta_s,
+        adjusted=adjusted_goeritz(matrix, beta_s),
     )
 
 

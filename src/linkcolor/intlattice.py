@@ -106,16 +106,13 @@ class IntMatrix:
 class GroupDescriptor:
     """Shape of an abelian group A^free x A(t_1) x A(t_2) x ...
 
-    ``free_rank`` counts every torsion-free summand, including the
-    standalone leading factor when ``leading_free_factor`` is set (the
-    flag only records where one of them came from). ``torsion`` holds
+    ``free_rank`` counts every torsion-free summand. ``torsion`` holds
     the annihilator orders other than 0 and 1, in descending
     divisibility order.
     """
 
     free_rank: int
     torsion: tuple[int, ...]
-    leading_free_factor: bool = False
 
     def order_mod(self, modulus: int) -> int:
         """Element count once A is specialized to Z/modulus."""
@@ -351,7 +348,6 @@ def cokernel_descriptor(m: IntMatrix) -> GroupDescriptor:
     return GroupDescriptor(
         free_rank=sum(1 for f in phi if f == 0),
         torsion=tuple(f for f in phi if f > 1),
-        leading_free_factor=False,
     )
 
 

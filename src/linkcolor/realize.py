@@ -17,7 +17,7 @@ strand one arm clockwise and flips the induced sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import count
 
 from .diagram import Crossing, Diagram, trace_regions
@@ -38,16 +38,15 @@ _NEG_ARMS = ("nw", "sw", "se", "ne")
 
 @dataclass(frozen=True)
 class Realization:
-    """A built diagram plus the shading and Goeritz data that certify it.
+    """A built diagram plus the Goeritz data that certify it.
 
-    ``goeritz`` rows/columns are permuted to construction order: one
-    core region per block, the unbounded region last. ``shading_index``
-    is always 0, recorded so downstream consumers need not rederive it.
+    ``goeritz`` comes from shading 0, the one leaving the unbounded
+    region unshaded. Its rows/columns are permuted to construction
+    order: one core region per block, the unbounded region last.
     """
 
     spec: tuple[int, ...]
     diagram: Diagram
-    shading_index: int
     goeritz: GoeritzData
 
 
@@ -60,7 +59,7 @@ def realize(spec) -> Realization:
         d = Diagram((), free_circles=1)
         rm = trace_regions(d)
         gd = goeritz_matrix(d, rm, checkerboard(rm)[0])
-        return Realization(spec, d, 0, gd)
+        return Realization(spec, d, gd)
 
     # One sign list per block; index ranges give each block's crossings.
     blocks = [[1, -1] if f == 0 else [1] * f for f in spec]
@@ -102,18 +101,9 @@ def realize(spec) -> Realization:
     order = (*cores, rm.unbounded_region)
     if sorted(order) != list(gd.unshaded_regions):
         raise RuntimeError("realized regions did not split into cores plus rim")
-    pos = {r: i for i, r in enumerate(gd.unshaded_regions)}
-    perm = [pos[r] for r in order]
-    n = len(perm)
-    reordered = IntMatrix.from_rows(
-        [[gd.matrix.entries[perm[i]][perm[j]] for j in range(n)] for i in range(n)], n)
-    gd = GoeritzData(
-        unshaded_regions=order,
-        matrix=reordered,
-        beta_s=1,
-        adjusted=reordered,
-    )
-    return Realization(spec, d, 0, gd)
+    idx = [gd.unshaded_regions.index(r) for r in order]
+    m = IntMatrix.from_rows([[gd.matrix.entries[i][j] for j in idx] for i in idx], len(idx))
+    return Realization(spec, d, replace(gd, unshaded_regions=order, matrix=m, adjusted=m))
 
 
 def verify_realization(spec) -> bool:

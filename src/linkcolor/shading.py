@@ -16,13 +16,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .diagram import Diagram, RegionMap
+from .diagram import Diagram, RegionMap, union_find
 
 __all__ = [
     "CheckerboardGraph",
     "Shading",
     "checkerboard",
     "checkerboard_graphs",
+    "shaded_pair",
 ]
 
 
@@ -94,22 +95,20 @@ class CheckerboardGraph:
     component_count: int
 
 
+def shaded_pair(s: Shading, quads) -> int:
+    """Which opposite quadrant pair a shading covers at one crossing:
+    0 for quadrants {0, 2}, 1 for {1, 3}. The other pair is unshaded."""
+    shade = [s.shade[r] for r in quads]
+    if shade == [True, False, True, False]:
+        return 0
+    if shade == [False, True, False, True]:
+        return 1
+    raise RuntimeError("shading does not alternate around a crossing")
+
+
 def _graph(vertices: tuple[int, ...], edges: list[tuple[int, int]]) -> CheckerboardGraph:
-    index = {v: i for i, v in enumerate(vertices)}
-    parent = list(range(len(vertices)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in edges:
-        ra, rb = find(index[a]), find(index[b])
-        if ra != rb:
-            parent[rb] = ra
-    comps = {find(i) for i in range(len(vertices))}
-    return CheckerboardGraph(vertices, tuple(edges), len(comps))
+    components = len(set(union_find(vertices, edges).values()))
+    return CheckerboardGraph(vertices, tuple(edges), components)
 
 
 def checkerboard_graphs(
@@ -127,13 +126,9 @@ def checkerboard_graphs(
     shaded_edges: list[tuple[int, int]] = []
     unshaded_edges: list[tuple[int, int]] = []
     for quads in rm.quadrant_region:
-        sh = [q for q in range(4) if s.shade[quads[q]]]
-        if sh not in ([0, 2], [1, 3]):
-            raise RuntimeError("shading does not alternate around a crossing")
-        a, b = sh
-        shaded_edges.append((quads[a], quads[b]))
-        u, v = [q for q in range(4) if not s.shade[quads[q]]]
-        unshaded_edges.append((quads[u], quads[v]))
+        p = shaded_pair(s, quads)
+        shaded_edges.append((quads[p], quads[p + 2]))
+        unshaded_edges.append((quads[1 - p], quads[3 - p]))
     shaded = _graph(s.shaded_regions(), shaded_edges)
     unshaded = _graph(s.unshaded_regions(), unshaded_edges)
     return shaded, unshaded

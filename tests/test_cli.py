@@ -3,10 +3,12 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from linkcolor.catalog import CODES
+from linkcolor.cli import main
 from linkcolor.intlattice import IntMatrix, smith_normal_form
 
 
@@ -196,6 +198,24 @@ class TestExitCodes:
         res = run("colorings", "--mod", "3", "--bruteforce",
                   "--enum-cap", "4", str(p))
         assert res.returncode == 4
+
+    def test_state_budget(self, trefoil_file, capsys):
+        # Five region variables are within --enum-cap, but 100000^5
+        # states are not: refused at once instead of scanned. Run
+        # in-process so the bound times the refusal, not interpreter start.
+        start = time.perf_counter()
+        code = main(["colorings", "--mod", "100000", "--bruteforce", trefoil_file])
+        assert time.perf_counter() - start < 1.0
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "100000^5" in err and str(9 ** 8) in err
+
+    def test_deeply_nested_json(self, tmp_path):
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 50_000)
+        res = run("snf", str(p))
+        assert res.returncode == 2
+        assert "error:" in res.stderr and "Traceback" not in res.stderr
 
     def test_usage_error(self):
         assert run("colorings", "-") .returncode == 2

@@ -205,7 +205,6 @@ class TestCokernelAndKernel:
         g = cokernel_descriptor(GOLDEN)
         assert g.free_rank == 2
         assert g.torsion == (3, 3)
-        assert not g.leading_free_factor
 
     def test_identity_cokernel_trivial(self):
         g = cokernel_descriptor(IntMatrix.identity(3))
@@ -254,7 +253,7 @@ class TestCokernelAndKernel:
 
 class TestGroupDescriptor:
     def test_order_mod(self):
-        g = GroupDescriptor(free_rank=2, torsion=(3,), leading_free_factor=True)
+        g = GroupDescriptor(free_rank=2, torsion=(3,))
         assert g.order_mod(3) == 27
         assert g.order_mod(2) == 4
 

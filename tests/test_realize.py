@@ -99,7 +99,6 @@ class TestMatrixShape:
         # so it is a symmetric permutation of the raw one: same diagonal
         # multiset, same invariant factors.
         r = realize((2, 3))
-        assert r.shading_index == 0
         rm = trace_regions(r.diagram)
         raw = goeritz_matrix(r.diagram, rm, checkerboard(rm)[0]).matrix
         assert sorted(raw.entries[i][i] for i in range(raw.rows)) == \
