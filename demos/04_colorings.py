@@ -29,11 +29,11 @@ for name, code in [("trefoil", TREFOIL), ("granny", GRANNY)]:
         brute = dehn_count_bruteforce(d, m)
         fox_s = structure_count(rep, m, "fox")
         fox_b = fox_count_bruteforce(d, m)
-        print(f"  m={m}: Dehn {structural} (enumerated {brute}), "
-              f"Fox {fox_s} (enumerated {fox_b}), ratio {structural // fox_s}")
+        print(f"  m={m}: Dehn {structural} (direct {brute}), "
+              f"Fox {fox_s} (direct {fox_b}), ratio {structural // fox_s}")
     print()
 
-print("The enumerated counts never look at the Goeritz matrix: they")
+print("The direct counts never look at the Goeritz matrix: they")
 print("solve the crossing relations directly over Z/m. Agreement with")
 print("the structural formula m * prod(gcd(phi_j, m)) is the point.")
 

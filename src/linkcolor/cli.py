@@ -7,8 +7,9 @@ arbitrary-precision values survive any consumer; matrices are row-major
 arrays of such strings.
 
 Exit codes: 0 success, 2 malformed input, 3 non-planar rotation data,
-4 enumeration work bound exceeded (too many variables for --enum-cap,
-or more states than the fixed budget of 9^8).
+4 work bound exceeded: more variables than --enum-cap or more table
+entries than the fixed elimination budget for --bruteforce, an snf
+matrix past MAX_SNF_WORK, or a realize spec past its size caps.
 """
 
 from __future__ import annotations
@@ -40,6 +41,12 @@ from .realize import realize
 from .shading import checkerboard, checkerboard_graphs
 
 __all__ = ["main"]
+
+# Work estimate of a witnessed Smith normal form: each of min(rows,
+# cols) pivots updates rows and columns of the matrix and of both
+# witnesses, (rows + cols)**2 entries, and the witnesses are printed.
+# Dense order-63 input fits; an order-120 one would run for minutes.
+MAX_SNF_WORK = 2 ** 20
 
 
 def _read_text(path: str) -> str:
@@ -159,6 +166,11 @@ def _cmd_matrix(args) -> None:
 
 def _cmd_snf(args) -> None:
     m = _parse_matrix_json(_read_text(args.path))
+    work = (min(m.rows, m.cols) + 1) * (m.rows + m.cols) ** 2
+    if work > MAX_SNF_WORK:
+        raise WorkBoundError(
+            f"snf of a {m.rows}x{m.cols} matrix needs about {work} steps, "
+            f"over the cap of {MAX_SNF_WORK}")
     res = smith_normal_form(m)
     report = {
         "phi": list(res.phi),

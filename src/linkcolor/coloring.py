@@ -2,10 +2,11 @@
 
 Two routes to the same numbers live here on purpose. The structural
 route reads the invariant factors of an adjusted Goeritz matrix and
-predicts how many colorings exist over any Z/m. The brute-force route
-never looks at a Goeritz matrix or an integer reduction: it enumerates
-assignments straight from the diagram, within a fixed budget of
-states. Tests lean on their agreement, so neither side may borrow from
+predicts how many colorings exist over any Z/m. The direct route never
+looks at a Goeritz matrix or an integer reduction: it counts the
+solutions of the crossing relations mod m straight from the diagram,
+summing out one variable at a time within a fixed budget of table
+entries. Tests lean on their agreement, so neither side may borrow from
 the other.
 
 Region colorings obey, at each crossing, the rule that the two
@@ -115,40 +116,118 @@ def structure_count(report: ColoringReport, modulus: int, which: str = "dehn") -
     raise ValueError(f"unknown coloring kind: {which!r}")
 
 
-# The largest scan the acceptance tests run: the granny knot's 8
-# regions at m=9. Counting real states, not variables, bounds the work
-# whatever the modulus.
-MAX_STATES = 9 ** 8
+# The work budget of one count, in table entries: every indicator
+# table, product and marginal the elimination allocates counts against
+# it, so it bounds memory (about 32 MB for an int64 table at the cap)
+# and work whatever the modulus. The catalog's worst case at m <= 9
+# needs about 33,000 entries; seeded braid closures of 30-40 crossings
+# at m <= 3 stay under 700,000.
+MAX_TABLE_ENTRIES = 2 ** 22
+
+
+def _elimination_order(scopes: list[frozenset], modulus: int) -> tuple[list[int], int]:
+    """Greedy min-fill elimination order and the table entries it allocates.
+
+    A variable's bucket is the union of the scopes mentioning it. The
+    next variable is the one whose elimination joins the fewest pairs
+    of bucket variables that share no scope yet, then the one with the
+    smaller bucket, then the lower index. The entry count follows
+    _count_solutions exactly: one table per scope, one per pairwise
+    product inside a bucket, one per marginal.
+    """
+    # nbrs[v]: v's bucket, v included.
+    nbrs: dict[int, set[int]] = {}
+    for s in scopes:
+        for v in s:
+            nbrs.setdefault(v, set()).update(s)
+
+    def cost(u: int) -> tuple[int, int, int]:
+        others = nbrs[u] - {u}
+        fill = sum(len(others - nbrs[w]) for w in others) // 2
+        return fill, len(others), u
+
+    entries = sum(modulus ** len(s) for s in scopes)
+    order = []
+    while nbrs:
+        v = min(nbrs, key=cost)
+        touching = [s for s in scopes if v in s]
+        union = touching[0]
+        for s in touching[1:]:
+            union |= s
+            entries += modulus ** len(union)
+        rest = union - {v}
+        entries += modulus ** len(rest)
+        scopes = [s for s in scopes if v not in s] + [rest]
+        del nbrs[v]
+        for u in rest:
+            nbrs[u] |= rest
+            nbrs[u].discard(v)
+        order.append(v)
+    return order, entries
+
+
+def _indicator(coefs: list[int], modulus: int, dtype) -> np.ndarray:
+    """0/1 table over (Z/modulus)^len(coefs), 1 where sum(c * x) == 0."""
+    k = len(coefs)
+    acc = np.zeros((1,) * k, dtype=np.int64)
+    for axis, c in enumerate(coefs):
+        shape = [1] * k
+        shape[axis] = modulus
+        acc = (acc + c * np.arange(modulus, dtype=np.int64).reshape(shape)) % modulus
+    return (acc == 0).astype(dtype)
 
 
 def _count_solutions(nvars: int, relations, modulus: int) -> int:
     """Count assignments in (Z/modulus)^nvars satisfying linear relations.
 
-    relations is a list of (index, coefficient) lists. States are
-    scanned in vectorized chunks; coefficients and digits are small, so
-    int64 accumulators cannot overflow. Refuses (WorkBoundError) past
-    MAX_STATES states.
+    relations is a list of (index, coefficient) lists, each meaning
+    sum(coefficient * x[index]) == 0 mod modulus; an index may repeat.
+    Each relation becomes a 0/1 indicator table over its variables, and
+    the variables are summed out one at a time (bucket elimination) in
+    the order _elimination_order picks; a variable no relation mentions
+    contributes a factor of modulus.
+
+    When every relation's coefficients sum to 0 mod modulus, adding one
+    constant to every variable permutes the solutions in orbits of
+    size modulus, so the variable in most relations is pinned to 0 and
+    counted as free. Table entries count partial assignments, so tables
+    are int64 only while modulus**variables < 2**63 and hold Python
+    ints beyond that: the count is exact at any size. Refuses
+    (WorkBoundError) before allocating anything when the tables would
+    hold more than MAX_TABLE_ENTRIES entries in total.
     """
-    total = modulus ** nvars
-    if total > MAX_STATES:
+    terms = []
+    for rel in relations:
+        acc: dict[int, int] = {}
+        for var, coef in rel:
+            acc[var] = (acc.get(var, 0) + coef) % modulus
+        terms.append({v: c for v, c in acc.items() if c})
+    if nvars and all(sum(t.values()) % modulus == 0 for t in terms):
+        pin = max(range(nvars), key=lambda v: (sum(v in t for t in terms), -v))
+        for t in terms:
+            t.pop(pin, None)
+    terms = [t for t in terms if t]
+    order, entries = _elimination_order([frozenset(t) for t in terms], modulus)
+    if entries > MAX_TABLE_ENTRIES:
         raise WorkBoundError(
-            f"enumeration needs {modulus}^{nvars} states, over the cap of {MAX_STATES}")
-    chunk = 1 << 20
-    count = 0
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        rem = np.arange(start, stop, dtype=np.int64)
-        digits = []
-        for _ in range(nvars):
-            rem, dig = np.divmod(rem, modulus)
-            digits.append(dig)
-        ok = np.ones(stop - start, dtype=bool)
-        for rel in relations:
-            acc = np.zeros(stop - start, dtype=np.int64)
-            for var, coef in rel:
-                acc += coef * digits[var]
-            ok &= acc % modulus == 0
-        count += int(ok.sum())
+            f"elimination needs {entries} table entries, over the cap of {MAX_TABLE_ENTRIES}")
+    dtype = np.int64 if modulus ** len(order) < 2 ** 63 else object
+    tables = []
+    for t in terms:
+        scope = sorted(t)
+        tables.append((scope, _indicator([t[v] for v in scope], modulus, dtype)))
+    for v in order:
+        touching = [f for f in tables if v in f[0]]
+        tables = [f for f in tables if v not in f[0]]
+        union = sorted(set().union(*(scope for scope, _ in touching)))
+        prod = None
+        for scope, table in touching:
+            view = table.reshape([modulus if u in scope else 1 for u in union])
+            prod = view if prod is None else prod * view
+        tables.append(([u for u in union if u != v], prod.sum(axis=union.index(v))))
+    count = modulus ** (nvars - len(order))
+    for _, table in tables:
+        count *= int(table)
     return count
 
 
@@ -161,9 +240,10 @@ def dehn_count_bruteforce(
 ) -> int:
     """Count region colorings over Z/modulus without Goeritz machinery.
 
-    Scans all modulus**regions assignments and checks every crossing
-    relation directly. Refuses (WorkBoundError) past ``region_cap``
-    variables or MAX_STATES states. "enumerate" is the only method.
+    Counts the solutions of the crossing relations mod modulus by
+    variable elimination (_count_solutions), one variable per region.
+    Refuses (WorkBoundError) past ``region_cap`` variables or
+    MAX_TABLE_ENTRIES table entries. "enumerate" is the only method.
     """
     if modulus < 2:
         raise ValueError("modulus must be at least 2")
@@ -192,26 +272,20 @@ def arc_partition(d: Diagram) -> tuple[dict[int, int], int]:
 
 
 def fox_count_bruteforce(d: Diagram, modulus: int, *, arc_cap: int = 8) -> int:
-    """Count arc colorings over Z/modulus by direct enumeration.
+    """Count arc colorings over Z/modulus without Goeritz machinery.
 
     At every crossing twice the over-arc equals the sum of the two
-    under-arc ends. Refuses past ``arc_cap`` arcs or MAX_STATES states.
+    under-arc ends; the solutions are counted by variable elimination
+    (_count_solutions), one variable per arc. Refuses past ``arc_cap``
+    arcs or MAX_TABLE_ENTRIES table entries.
     """
     if modulus < 2:
         raise ValueError("modulus must be at least 2")
     arc_of, n_arcs = arc_partition(d)
     if n_arcs > arc_cap:
         raise WorkBoundError(f"{n_arcs} arcs exceeds the enumeration cap {arc_cap}")
-    relations = []
-    for c in d.crossings:
-        acc: dict[int, int] = {}
-        for arc, coef in (
-            (arc_of[c.slots[1]], 2),
-            (arc_of[c.slots[0]], -1),
-            (arc_of[c.slots[2]], -1),
-        ):
-            acc[arc] = acc.get(arc, 0) + coef
-        relations.append(tuple((a, k) for a, k in sorted(acc.items()) if k))
+    relations = [((arc_of[c.slots[1]], 2), (arc_of[c.slots[0]], -1), (arc_of[c.slots[2]], -1))
+                 for c in d.crossings]
     return _count_solutions(n_arcs, relations, modulus)
 
 

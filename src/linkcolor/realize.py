@@ -22,7 +22,7 @@ from itertools import count
 
 from .diagram import Crossing, Diagram, trace_regions
 from .goeritz import GoeritzData, goeritz_matrix
-from .intlattice import IntMatrix, invariant_factors
+from .intlattice import IntMatrix, WorkBoundError, invariant_factors
 from .shading import checkerboard
 
 __all__ = [
@@ -34,6 +34,13 @@ __all__ = [
 # Arm occupying slot i, by crossing sign.
 _POS_ARMS = ("ne", "nw", "sw", "se")
 _NEG_ARMS = ("nw", "sw", "se", "ne")
+
+# A factor f costs f crossings (a 0 costs two) and the dense Goeritz
+# matrix has one row per factor plus the rim. 2000 factors of 1 took
+# 6.9 s and 700 MB, a single factor of 100000 2.9 s and 170 MB; these
+# caps keep either part well under a second.
+MAX_REALIZE_CROSSINGS = 10_000
+MAX_REALIZE_ORDER = 400
 
 
 @dataclass(frozen=True)
@@ -55,6 +62,11 @@ def realize(spec) -> Realization:
     spec = tuple(int(f) for f in spec)
     if any(f < 0 for f in spec):
         raise ValueError("invariant factors are non-negative")
+    crossings, order = sum(f or 2 for f in spec), len(spec) + 1
+    if crossings > MAX_REALIZE_CROSSINGS or order > MAX_REALIZE_ORDER:
+        raise WorkBoundError(
+            f"realization needs {crossings} crossings and a matrix of order {order}, over the "
+            f"caps of {MAX_REALIZE_CROSSINGS} crossings and order {MAX_REALIZE_ORDER}")
     if not spec:
         d = Diagram((), free_circles=1)
         rm = trace_regions(d)

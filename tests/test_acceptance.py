@@ -1,12 +1,15 @@
 """Acceptance gate.
 
-Seven headline checks, each printing a single PASS/FAIL line with its
-wall-clock time. Every numeric comparison is exact integer equality;
+Seven headline checks (AC-1..AC-7) and one oracle check on braid
+closures, each printing a single PASS/FAIL line with its wall-clock
+time. Every numeric comparison is exact integer equality;
 the printed line appears even under pytest capture.
 """
 
+import importlib.util
 import random
 import time
+from pathlib import Path
 
 from linkcolor.catalog import load
 from linkcolor.coloring import (
@@ -19,6 +22,7 @@ from linkcolor.coloring import (
 from linkcolor.diagram import (
     Diagram,
     disjoint_union,
+    parse_diagram,
     relabel_edges,
     trace_regions,
     underlying_components,
@@ -81,6 +85,45 @@ def test_ac2_dehn_count_oracle(capsys):
     _report(capsys, "AC-2", ok, time.perf_counter() - t0, 60.0,
             f"enumerated Dehn counts match m*prod(gcd(phi_j,m)) in "
             f"{cases} cases (8 diagrams, m=2..9, both shadings)")
+
+
+def _braid_module():
+    """bench/braid.py, the seeded braid-closure generator, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "braid.py"
+    spec = importlib.util.spec_from_file_location("bench_braid", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_oracle_on_braid_closures(capsys):
+    """Both counting routes agree on closures of 30-40 crossings, four
+    times the catalog's largest diagram and far past what a scan of
+    m**regions assignments could reach."""
+    braid = _braid_module()
+    t0 = time.perf_counter()
+    rng = random.Random(20261018)
+    ok = True
+    cases = 0
+    for crossings in (30, 33, 36, 40):
+        for strands in (3, 5, 7):
+            code = braid.code_text(braid.braid_closure(
+                strands, braid.braid_word(rng, strands, crossings)))
+            d = parse_diagram(code)
+            regions = trace_regions(d).region_count
+            ok = ok and regions == crossings + 2
+            rep = dehn_structure(d)
+            # Dehn at 40 crossings and m=3 eliminates 41 region
+            # variables: 3**41 > 2**63 puts it on the Python-int tables.
+            for m in (2, 3):
+                ok = ok and dehn_count_bruteforce(d, m, region_cap=regions) \
+                    == structure_count(rep, m, "dehn")
+                ok = ok and fox_count_bruteforce(d, m, arc_cap=crossings) \
+                    == structure_count(rep, m, "fox")
+                cases += 1
+    _report(capsys, "ORACLE", ok, time.perf_counter() - t0, 10.0,
+            f"Dehn and Fox elimination counts match the invariant factors "
+            f"in {cases} cases (braid closures of 30-40 crossings, m=2,3)")
 
 
 def test_ac3_snf_property_suite(capsys):

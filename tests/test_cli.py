@@ -1,6 +1,8 @@
 """End-to-end command-line checks via subprocess."""
 
 import json
+import random
+import re
 import subprocess
 import sys
 import time
@@ -8,8 +10,10 @@ import time
 import pytest
 
 from linkcolor.catalog import CODES
-from linkcolor.cli import main
+from linkcolor.cli import MAX_SNF_WORK, main
+from linkcolor.coloring import MAX_TABLE_ENTRIES
 from linkcolor.intlattice import IntMatrix, smith_normal_form
+from linkcolor.realize import MAX_REALIZE_CROSSINGS, MAX_REALIZE_ORDER
 
 
 def run(*argv, stdin=""):
@@ -200,15 +204,44 @@ class TestExitCodes:
         assert res.returncode == 4
 
     def test_state_budget(self, trefoil_file, capsys):
-        # Five region variables are within --enum-cap, but 100000^5
-        # states are not: refused at once instead of scanned. Run
-        # in-process so the bound times the refusal, not interpreter start.
+        # Five region variables are within --enum-cap, but elimination
+        # tables over Z/100000 are not within the entry budget: refused
+        # at once instead of allocated. Run in-process so the bound
+        # times the refusal, not interpreter start.
         start = time.perf_counter()
         code = main(["colorings", "--mod", "100000", "--bruteforce", trefoil_file])
         assert time.perf_counter() - start < 1.0
         assert code == 4
         err = capsys.readouterr().err
-        assert "100000^5" in err and str(9 ** 8) in err
+        assert re.search(r"needs \d+ table entries", err) and str(MAX_TABLE_ENTRIES) in err
+
+    def test_snf_work_bound(self, tmp_path, capsys):
+        # A dense order-120 matrix, and a single row whose column
+        # witness would be 5000x5000: refused before any reduction.
+        rng = random.Random(3)
+        for rows, cols in ((120, 120), (1, 5000)):
+            p = tmp_path / f"m{rows}x{cols}.json"
+            p.write_text(json.dumps([[rng.randint(-3, 3) for _ in range(cols)]
+                                     for _ in range(rows)]))
+            start = time.perf_counter()
+            code = main(["snf", str(p)])
+            assert time.perf_counter() - start < 1.0
+            assert code == 4
+            err = capsys.readouterr().err
+            assert f"{rows}x{cols}" in err and str(MAX_SNF_WORK) in err
+
+    def test_realize_size_bound(self, capsys):
+        # One factor of 10^8 crossings, or 400 factors whose Goeritz
+        # matrix has order 401: refused before building anything.
+        for spec, estimate in (("100000000", "100000000 crossings"),
+                               (",".join(["1"] * 400), "order 401")):
+            start = time.perf_counter()
+            code = main(["realize", spec])
+            assert time.perf_counter() - start < 1.0
+            assert code == 4
+            err = capsys.readouterr().err
+            assert estimate in err
+            assert str(MAX_REALIZE_CROSSINGS) in err and str(MAX_REALIZE_ORDER) in err
 
     def test_deeply_nested_json(self, tmp_path):
         p = tmp_path / "deep.json"

@@ -2,8 +2,9 @@
 in exit code 0, 2, 3 or 4 within bounded time and without a traceback.
 
 Diagram codes pair labels at random, so most of them are non-planar.
-Moduli run far past what enumeration can scan, which the state budget
-must refuse rather than attempt.
+Moduli run far past what elimination tables can hold, which the entry
+budget must refuse rather than attempt; moduli of 10^3-10^4 put one-
+and two-variable tables just under or over that budget.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def diagram_argvs(draw) -> list[str]:
     if cmd == "matrix" and draw(st.booleans()):
         argv.append("--adjusted")
     if cmd in ("colorings", "fox"):
-        argv += ["--mod", str(draw(st.integers(-1, 10**6)))]
+        argv += ["--mod", str(draw(st.integers(-1, 10**6) | st.integers(10**3, 10**4)))]
         if draw(st.booleans()):
             argv.append("--bruteforce")
         if draw(st.booleans()):

@@ -5,12 +5,17 @@ structure results, so these tests deliberately approach every number
 from both sides.
 """
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linkcolor.catalog import load, names
 from linkcolor.coloring import (
+    _count_solutions,
+    _elimination_order,
     arc_partition,
     coloring_equivalent,
     crossing_relations,
@@ -118,10 +123,11 @@ class TestDehnBruteForce:
     def test_enumeration_cap(self):
         with pytest.raises(WorkBoundError):
             dehn_count_bruteforce(load("granny"), 3, method="enumerate", region_cap=5)
-        # Five regions and three arcs, but 100000^5 states: the state budget refuses.
-        with pytest.raises(WorkBoundError, match="states"):
+        # Five regions and three arcs, but tables over Z/100000: the
+        # table-entry budget refuses.
+        with pytest.raises(WorkBoundError, match="table entries"):
             dehn_count_bruteforce(load("trefoil"), 100000)
-        with pytest.raises(WorkBoundError, match="states"):
+        with pytest.raises(WorkBoundError, match="table entries"):
             fox_count_bruteforce(load("trefoil"), 100000)
 
     def test_unknown_method(self):
@@ -144,6 +150,53 @@ class TestDehnBruteForce:
             rng.shuffle(shuffled)
             moved = Diagram(tuple(shuffled), moved.free_circles)
             assert dehn_count_bruteforce(moved, 4) == want
+
+
+def scan_count(nvars, relations, modulus):
+    """Reference count: test every assignment in (Z/modulus)^nvars."""
+    return sum(
+        all(sum(c * x[v] for v, c in rel) % modulus == 0 for rel in relations)
+        for x in itertools.product(range(modulus), repeat=nvars))
+
+
+@st.composite
+def linear_systems(draw):
+    """Relations over 1-6 variables mod 2-9: repeated variables, zero and
+    negative coefficients, variables no relation mentions. The modulus
+    keeps the reference scan within 10,000 assignments. About half the
+    systems get a last term in each relation making its coefficients
+    sum to 0, so the pinned branch runs as well as the unpinned one."""
+    nvars = draw(st.integers(1, 6))
+    modulus = draw(st.integers(2, max(m for m in range(2, 10) if m ** nvars <= 10_000)))
+    term = st.tuples(st.integers(0, nvars - 1), st.integers(-4, 4))
+    relations = draw(st.lists(st.lists(term, max_size=5), max_size=6))
+    if draw(st.booleans()):
+        relations = [rel + [(draw(st.integers(0, nvars - 1)), -sum(c for _, c in rel))]
+                     for rel in relations]
+    return nvars, relations, modulus
+
+
+class TestCountSolutions:
+    @settings(max_examples=200, deadline=None)
+    @given(linear_systems())
+    def test_matches_scan(self, system):
+        assert _count_solutions(*system) == scan_count(*system)
+
+    def test_budget_counts_every_table(self):
+        # Chain x0 - x1 - x2 mod 3: two 9-entry indicators; summing out
+        # x0 leaves a 3-entry marginal; x1's bucket needs a 9-entry
+        # product and a 3-entry marginal; x2's marginal is a scalar.
+        scopes = [frozenset({0, 1}), frozenset({1, 2})]
+        assert _elimination_order(scopes, 3) == ([0, 1, 2], 18 + 3 + 9 + 3 + 1)
+
+    def test_exact_past_int64(self):
+        # 3*y_i == k*z (mod 9) for 45 variables y_i: partial counts reach
+        # 3**45 > 2**63, so the tables must hold Python ints.
+        ys = range(45)
+        balanced = [[(y, 3), (45, -3)] for y in ys]
+        assert _count_solutions(46, balanced, 9) == 9 * 3 ** 45
+        unbalanced = [[(y, 3), (45, -2)] for y in ys]
+        assert _count_solutions(46, unbalanced, 9) == 3 * 3 ** 45
 
 
 class TestArcsAndFox:
