@@ -4,7 +4,8 @@ Every subcommand reads diagram text from a file path (``-`` for
 standard input) and prints a JSON report, or a terse text form under
 ``--plain``. Integers inside JSON are emitted as decimal strings so
 arbitrary-precision values survive any consumer; matrices are row-major
-arrays of such strings.
+arrays of such strings. Integers of any length are read and written,
+whatever digit limit the interpreter sets on int/str conversion.
 
 Exit codes: 0 success, 2 malformed input, 3 non-planar rotation data,
 4 work bound exceeded: more variables than --enum-cap or more table
@@ -42,11 +43,42 @@ from .shading import checkerboard, checkerboard_graphs
 
 __all__ = ["main"]
 
-# Work estimate of a witnessed Smith normal form: each of min(rows,
-# cols) pivots updates rows and columns of the matrix and of both
-# witnesses, (rows + cols)**2 entries, and the witnesses are printed.
-# Dense order-63 input fits; an order-120 one would run for minutes.
+# Work estimate of a witnessed Smith normal form: the Hermite passes
+# and each of the min(rows, cols) pivots update rows and columns of the
+# matrix and of both witnesses, (rows + cols)**2 entries, and the
+# witnesses are printed. Witness entries stay near the size of the
+# determinant, so the estimate counts operations, not digits. Dense
+# order-63 input fits; an order-120 one would run for minutes.
 MAX_SNF_WORK = 2 ** 20
+
+# Python 3.11 and later refuse int <-> str conversions of more than
+# sys.get_int_max_str_digits() digits (4300 unless a caller changes it,
+# never below 640). Splitting numerals into pieces of at most
+# _SAFE_DIGITS digits keeps any length working without touching that
+# process-wide setting.
+_SAFE_DIGITS = 600
+
+
+def _decimal(n: int) -> str:
+    """str(n) for an int of any length."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    if n.bit_length() <= 3 * _SAFE_DIGITS:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half the digits
+    hi, lo = divmod(n, 10 ** k)
+    return _decimal(hi) + _decimal(lo).zfill(k)
+
+
+def _parse_int(text: str) -> int:
+    """int(text, 10) for a numeral of any length."""
+    s = text.strip()
+    digits = s[1:] if s[:1] in ("+", "-") else s
+    if len(digits) <= _SAFE_DIGITS or not (digits.isascii() and digits.isdigit()):
+        return int(text, 10)
+    k = len(digits) // 2
+    value = _parse_int(digits[:-k]) * 10 ** k + _parse_int(digits[-k:])
+    return -value if s[0] == "-" else value
 
 
 def _read_text(path: str) -> str:
@@ -65,7 +97,7 @@ def _stringify(value):
     if isinstance(value, bool):
         return value
     if isinstance(value, int):
-        return str(value)
+        return _decimal(value)
     if isinstance(value, (list, tuple)):
         return [_stringify(v) for v in value]
     if isinstance(value, dict):
@@ -83,7 +115,7 @@ def _emit(report: dict, plain_lines, plain: bool) -> None:
 
 def _parse_matrix_json(text: str) -> IntMatrix:
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_int=_parse_int)
     except RecursionError:
         raise ValueError("matrix JSON nests too deeply") from None
     if isinstance(data, dict):
@@ -92,7 +124,9 @@ def _parse_matrix_json(text: str) -> IntMatrix:
         data = data["matrix"]
     if not isinstance(data, list) or any(not isinstance(r, list) for r in data):
         raise ValueError("matrix JSON must be an array of arrays")
-    rows = [[int(str(v), 10) for v in row] for row in data]
+    # JSON numbers arrive as ints; strings are numerals, and anything
+    # else (booleans, floats, nulls, arrays) fails to parse.
+    rows = [[v if type(v) is int else _parse_int(str(v)) for v in row] for row in data]
     widths = {len(r) for r in rows}
     if len(widths) > 1:
         raise ValueError("ragged matrix JSON")
@@ -106,7 +140,7 @@ def _shaded_goeritz(d: Diagram, index: int):
 
 
 def _matrix_rows(m: IntMatrix):
-    return [" ".join(str(v) for v in row) for row in m.entries]
+    return [" ".join(map(_decimal, row)) for row in m.entries]
 
 
 def _cmd_regions(args) -> None:
@@ -179,7 +213,7 @@ def _cmd_snf(args) -> None:
         "u2": res.u2.to_lists(),
         "normal_form": res.normal_form().to_lists(),
     }
-    _emit(report, ["phi: " + " ".join(str(f) for f in res.phi)], args.plain)
+    _emit(report, ["phi: " + " ".join(map(_decimal, res.phi))], args.plain)
 
 
 def _structure(args) -> tuple[Diagram, ColoringReport]:
@@ -197,14 +231,14 @@ def _cmd_colorings(args) -> None:
         "fox_order_mod_m": structure_count(rep, args.mod, "fox"),
     }
     plain = [
-        "phi: " + " ".join(str(f) for f in rep.phi),
-        f"dehn_order_mod_{args.mod}: {report['dehn_order_mod_m']}",
-        f"fox_order_mod_{args.mod}: {report['fox_order_mod_m']}",
+        "phi: " + " ".join(map(_decimal, rep.phi)),
+        f"dehn_order_mod_{_decimal(args.mod)}: {_decimal(report['dehn_order_mod_m'])}",
+        f"fox_order_mod_{_decimal(args.mod)}: {_decimal(report['fox_order_mod_m'])}",
     ]
     if args.bruteforce:
         n = dehn_count_bruteforce(d, args.mod, region_cap=args.enum_cap)
         report["bruteforce"] = n
-        plain.append(f"bruteforce: {n}")
+        plain.append(f"bruteforce: {_decimal(n)}")
     _emit(report, plain, args.plain)
 
 
@@ -219,13 +253,13 @@ def _cmd_fox(args) -> None:
     }
     plain = [
         f"arcs: {n_arcs}",
-        "phi: " + " ".join(str(f) for f in rep.phi),
-        f"fox_order_mod_{args.mod}: {report['fox_order_mod_m']}",
+        "phi: " + " ".join(map(_decimal, rep.phi)),
+        f"fox_order_mod_{_decimal(args.mod)}: {_decimal(report['fox_order_mod_m'])}",
     ]
     if args.bruteforce:
         n = fox_count_bruteforce(d, args.mod, arc_cap=args.enum_cap)
         report["bruteforce"] = n
-        plain.append(f"bruteforce: {n}")
+        plain.append(f"bruteforce: {_decimal(n)}")
     _emit(report, plain, args.plain)
 
 
@@ -234,7 +268,7 @@ def _parse_spec(text: str) -> tuple[int, ...]:
     if not text:
         return ()
     try:
-        spec = tuple(int(part, 10) for part in text.split(","))
+        spec = tuple(_parse_int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"bad factor list: {text!r}") from None
     if any(f < 0 for f in spec):
@@ -303,7 +337,7 @@ def _parser() -> argparse.ArgumentParser:
     ):
         p = add(name, handler, help_text)
         p.add_argument("--shading", type=int, choices=(0, 1), default=0)
-        p.add_argument("--mod", type=int, required=True, metavar="M",
+        p.add_argument("--mod", type=_parse_int, required=True, metavar="M",
                        help="modulus, at least 2")
         p.add_argument("--bruteforce", action="store_true",
                        help="also enumerate colorings directly")

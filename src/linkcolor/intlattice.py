@@ -4,6 +4,14 @@ Smith normal forms with unimodular witnesses, minor gcds, cokernel
 structure and kernel counts over Z/m. Everything runs on plain Python
 ints, so entries may grow without bound and no tolerance ever enters.
 
+One reduction routine serves both routes to the invariant factors.
+``invariant_factors`` runs it on the bare matrix and builds no
+witnesses; it is what the cokernel, kernel-count and coloring code
+call. ``smith_normal_form`` runs it on the matrix augmented with two
+identities, which carry the witnesses, after a row and a column
+Hermite pass that keep the witnesses near the size of the determinant.
+A divisibility failure is repaired by one extended-gcd column step.
+
 The diagonal convention puts divisibility in descending order:
 ``phi[j]`` divides ``phi[j-1]``, with every integer dividing 0. For a
 ``rows x cols`` matrix the invariant factor sequence has exactly
@@ -184,12 +192,24 @@ def _select_pivot(a, rows, cols, p):
     return where
 
 
-def _place_pivot(a, u1, u2, rows, cols, p):
+def _xgcd(x, y):
+    """(g, s, t) with g = gcd(x, y) = s*x + t*y > 0, for y not 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while y:
+        q, r = divmod(x, y)
+        x, y = y, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (x, s0, t0) if x > 0 else (-x, -s0, -t0)
+
+
+def _place_pivot(a, rows, cols, p):
     """Clear row/column p and make a[p][p] divide the rest of the block.
 
     Returns False when the trailing block is already all zero. Every
-    step keeps a == u1_ops(M)u2_ops exact; |pivot| strictly drops each
-    time a nonzero remainder appears, so the loop terminates.
+    round that does not finish leaves a smaller nonzero |value| in the
+    block: a remainder of the clearing, or the gcd that the repair of a
+    divisibility failure puts at (p, p). So the loop terminates.
     """
     while True:
         found = _select_pivot(a, rows, cols, p)
@@ -198,11 +218,8 @@ def _place_pivot(a, u1, u2, rows, cols, p):
         bi, bj = found
         if bi != p:
             a[p], a[bi] = a[bi], a[p]
-            u1[p], u1[bi] = u1[bi], u1[p]
         if bj != p:
             for row in a:
-                row[p], row[bj] = row[bj], row[p]
-            for row in u2:
                 row[p], row[bj] = row[bj], row[p]
         pivot = a[p][p]
         clean = True
@@ -210,70 +227,138 @@ def _place_pivot(a, u1, u2, rows, cols, p):
             if a[i][p]:
                 q = a[i][p] // pivot
                 if q:
-                    for j in range(cols):
-                        a[i][j] -= q * a[p][j]
-                    for j in range(rows):
-                        u1[i][j] -= q * u1[p][j]
+                    a[i] = [v - q * u for u, v in zip(a[p], a[i])]
                 if a[i][p]:
                     clean = False
         for j in range(p + 1, cols):
             if a[p][j]:
                 q = a[p][j] // pivot
                 if q:
-                    for i in range(rows):
-                        a[i][j] -= q * a[i][p]
-                    for i in range(cols):
-                        u2[i][j] -= q * u2[i][p]
+                    for row in a:
+                        row[j] -= q * row[p]
                 if a[p][j]:
                     clean = False
         if not clean:
             continue
-        offender = None
-        for i in range(p + 1, rows):
-            for j in range(p + 1, cols):
-                if a[i][j] % pivot:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        offender = next(((i, j) for i in range(p + 1, rows) for j in range(p + 1, cols)
+                         if a[i][j] % pivot), None)
         if offender is None:
             return True
-        # Fold the non-divisible row into the pivot row and go again.
-        for j in range(cols):
-            a[p][j] += a[offender][j]
-        for j in range(rows):
-            u1[p][j] += u1[offender][j]
+        # Fold the offending row into the pivot row, which puts y at
+        # (p, j). One extended-gcd column step [[s, -y/g], [t, x/g]] on
+        # columns p and j then leaves g = gcd(x, y) at (p, p) and 0 at
+        # (p, j), with x the pivot and cofactors bounded by x and y.
+        i, j = offender
+        a[p] = [u + v for u, v in zip(a[p], a[i])]
+        y = a[p][j]
+        g, s, t = _xgcd(pivot, y)
+        xg, yg = pivot // g, y // g
+        for row in a:
+            u, v = row[p], row[j]
+            row[p], row[j] = s * u + t * v, xg * v - yg * u
+
+
+def _diagonalize(a, rows, cols):
+    """Reduce the leading rows x cols block of ``a`` in place to a
+    nonnegative diagonal, each entry dividing the next; return it.
+
+    Row operations run along whole rows of ``a`` and column operations
+    down whole columns, so extra columns right of the block take part
+    in every row operation and extra rows below it in every column
+    operation. That is how witnesses ride along; a bare matrix yields
+    the factors alone.
+    """
+    t = min(rows, cols)
+    for p in range(t):
+        if not _place_pivot(a, rows, cols, p):
+            break
+        if a[p][p] < 0:
+            a[p] = [-v for v in a[p]]
+    return [a[i][i] for i in range(t)]
+
+
+def _hermite_rows(a, rows, cols):
+    """Row Hermite pass over the leading rows x cols block of ``a``.
+
+    Column by column, Euclid on the rows at and below the current pivot
+    row leaves one nonzero there, made positive, and every row above is
+    then reduced modulo it. Extra columns take part as in _diagonalize.
+    """
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        while True:
+            below = [i for i in range(r, rows) if a[i][c]]
+            if not below:
+                break
+            best = min(below, key=lambda i: (abs(a[i][c]), a[i][c] < 0))
+            a[r], a[best] = a[best], a[r]
+            if len(below) == 1:
+                break
+            for i in range(r + 1, rows):
+                q = a[i][c] // a[r][c]
+                if q:
+                    a[i] = [v - q * u for u, v in zip(a[r], a[i])]
+        if not below:
+            continue
+        if a[r][c] < 0:
+            a[r] = [-v for v in a[r]]
+        for i in range(r):
+            q = a[i][c] // a[r][c]
+            if q:
+                a[i] = [v - q * u for u, v in zip(a[r], a[i])]
+        r += 1
+
+
+def _flip(a, rows, cols):
+    """Transpose the augmented matrix: [[M, U1], [U2]] -> [[M^T, U2^T], [U1^T]]."""
+    top = [[a[i][j] for i in range(rows + cols)] for j in range(cols)]
+    return top + [[a[i][cols + k] for i in range(rows)] for k in range(rows)]
+
+
+def _descending(diag, cols):
+    """The ascending diagonal as the descending factor sequence."""
+    return tuple(reversed(diag + [0] * (cols - len(diag))))
 
 
 def smith_normal_form(m: IntMatrix) -> SNFResult:
     """Diagonalize over Z with witnesses, descending divisibility layout.
 
-    The classical ascending reduction runs first; a fixed permutation
-    then reverses the diagonal into the descending convention, which
-    costs nothing but a relabeling of the witnesses.
+    The witnesses ride on the augmented matrix [[M, I], [I, 0]], whose
+    zero corner is never read and so is left out. A row Hermite pass
+    runs first and leaves u1 near H M^-1, of the size of the
+    determinant rather than of the number of elimination steps; the
+    same pass on the transpose then does the columns, which keeps the
+    pivots the diagonalization meets small. The reduction of
+    ``invariant_factors`` follows, and a fixed permutation then reverses
+    the diagonal into the descending convention, which costs nothing
+    but a relabeling of the witnesses.
     """
     rows, cols = m.rows, m.cols
-    a = [list(row) for row in m.entries]
-    u1 = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    u2 = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    a = [list(row) + [int(i == k) for k in range(rows)] for i, row in enumerate(m.entries)]
+    a += [[int(i == k) for k in range(cols)] for i in range(cols)]
+    _hermite_rows(a, rows, cols)
+    a = _flip(a, rows, cols)
+    _hermite_rows(a, cols, rows)
+    a = _flip(a, cols, rows)
+    phi = _descending(_diagonalize(a, rows, cols), cols)
     t = min(rows, cols)
-    for p in range(t):
-        if not _place_pivot(a, u1, u2, rows, cols, p):
-            break
-        if a[p][p] < 0:
-            for j in range(cols):
-                a[p][j] = -a[p][j]
-            for j in range(rows):
-                u1[p][j] = -u1[p][j]
-    diag = [a[i][i] for i in range(t)]
-    phi = tuple(reversed(diag + [0] * (cols - t)))
+    u1 = [row[cols:] for row in a[:rows]]
     u1[:t] = u1[:t][::-1]
-    u2 = [row[::-1] for row in u2]
+    u2 = [row[::-1] for row in a[rows:]]
     return SNFResult(phi=phi, u1=IntMatrix.from_rows(u1, rows), u2=IntMatrix.from_rows(u2, cols))
 
 
 def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
-    return smith_normal_form(m).phi
+    """The invariant factors alone, in descending divisibility order.
+
+    Runs the reduction of ``smith_normal_form`` on the bare matrix and
+    skips the Hermite passes: no witness is built. On sparse Goeritz
+    matrices the passes would cost more than they save.
+    """
+    a = [list(row) for row in m.entries]
+    return _descending(_diagonalize(a, m.rows, m.cols), m.cols)
 
 
 def determinant(m: IntMatrix) -> int:

@@ -6,10 +6,8 @@ time. Every numeric comparison is exact integer equality;
 the printed line appears even under pytest capture.
 """
 
-import importlib.util
 import random
 import time
-from pathlib import Path
 
 from linkcolor.catalog import load
 from linkcolor.coloring import (
@@ -87,20 +85,10 @@ def test_ac2_dehn_count_oracle(capsys):
             f"{cases} cases (8 diagrams, m=2..9, both shadings)")
 
 
-def _braid_module():
-    """bench/braid.py, the seeded braid-closure generator, loaded by path."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "braid.py"
-    spec = importlib.util.spec_from_file_location("bench_braid", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_oracle_on_braid_closures(capsys):
+def test_oracle_on_braid_closures(capsys, braid):
     """Both counting routes agree on closures of 30-40 crossings, four
     times the catalog's largest diagram and far past what a scan of
     m**regions assignments could reach."""
-    braid = _braid_module()
     t0 = time.perf_counter()
     rng = random.Random(20261018)
     ok = True

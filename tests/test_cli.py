@@ -1,5 +1,7 @@
 """End-to-end command-line checks via subprocess."""
 
+import contextlib
+import io
 import json
 import random
 import re
@@ -9,6 +11,7 @@ import time
 
 import pytest
 
+from linkcolor import cli
 from linkcolor.catalog import CODES
 from linkcolor.cli import MAX_SNF_WORK, main
 from linkcolor.coloring import MAX_TABLE_ENTRIES
@@ -106,6 +109,78 @@ class TestSnf:
         p = tmp_path / "m.json"
         p.write_text("[[1, 2], [3]]")
         assert run("snf", str(p)).returncode == 2
+
+
+@contextlib.contextmanager
+def no_digit_limit():
+    """Lift the interpreter's int/str digit limit (Python 3.11+) in the test itself."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:
+        yield
+        return
+    saved = get()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+class TestLongIntegers:
+    """Integers past the default 4300-digit int/str limit, in and out."""
+
+    def test_snf_output_past_the_limit(self, tmp_path):
+        with no_digit_limit():
+            a, b = 2 ** 8000, 3 ** 5000
+            entries = [[str(a), "0"], ["0", str(b)]]
+            want = str(a * b)
+        assert len(want) > 4300
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(entries))
+        for plain in ((), ("--plain",)):
+            t0 = time.perf_counter()
+            res = run("snf", *plain, str(p))
+            elapsed = time.perf_counter() - t0
+            assert res.returncode == 0, res.stderr
+            assert elapsed < 1.0
+            if plain:
+                assert res.stdout == f"phi: {want} 1\n"
+            else:
+                assert json.loads(res.stdout)["phi"] == [want, "1"]
+
+    @pytest.mark.parametrize("as_string", [True, False])
+    def test_snf_input_past_the_limit(self, as_string, capsys):
+        with no_digit_limit():
+            value = -(2 ** 15000)
+            text = str(value)
+            want = text[1:]
+        assert len(want) > 4300
+        entry = json.dumps(text) if as_string else text
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        saved = sys.stdin
+        sys.stdin = io.StringIO(f"[[{entry}, 0]]")
+        try:
+            code = main(["snf", "--plain", "-"])
+        finally:
+            sys.stdin = saved
+        assert code == 0
+        assert capsys.readouterr().out == f"phi: 0 {want}\n"
+        # The in-process caller keeps its own limit.
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+    def test_decimal_round_trip(self):
+        rng = random.Random(7)
+        for digits in (1, 599, 600, 601, 1800, 4300, 4301, 9000):
+            with no_digit_limit():
+                text = str(rng.randrange(10 ** (digits - 1), 10 ** digits))
+                value = int(text)
+            for sign in ("", "-"):
+                assert cli._parse_int(sign + text) == (-value if sign else value)
+                assert cli._decimal(-value if sign else value) == sign + text
+        assert cli._parse_int(" +" + "0" * 700 + "12 ") == 12
+        for bad in ("", "-", "12a" * 300, "1 2", "--5"):
+            with pytest.raises(ValueError):
+                cli._parse_int(bad)
 
 
 class TestColoringsAndFox:

@@ -8,12 +8,15 @@ random input.
 
 import math
 import random
+import time
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linkcolor.diagram import parse_diagram, trace_regions
+from linkcolor.goeritz import goeritz_matrix
 from linkcolor.intlattice import (
     GroupDescriptor,
     IntMatrix,
@@ -26,6 +29,7 @@ from linkcolor.intlattice import (
     smith_normal_form,
     snf_matrix,
 )
+from linkcolor.shading import checkerboard
 
 # Adjusted Goeritz matrix of the four-block connected sum used as the
 # golden fixture throughout the repo.
@@ -324,3 +328,70 @@ def test_invariant_factors_respect_equivalence():
         p = _random_unimodular(rng, rows)
         q = _random_unimodular(rng, cols)
         assert invariant_factors(p @ m @ q) == invariant_factors(m)
+
+
+def _witness_bits(res) -> int:
+    return max(abs(v).bit_length() for w in (res.u1, res.u2) for row in w.entries for v in row)
+
+
+def _hadamard_bits(rows) -> int:
+    """ceil(log2) of the Hadamard bound prod_i |row_i| on |det|."""
+    return math.ceil(sum(math.log2(sum(v * v for v in row)) / 2 for row in rows))
+
+
+@pytest.mark.parametrize("n", range(20, 61, 8))
+def test_witnesses_stay_near_the_determinant(n):
+    # Before the Hermite passes, an order-60 matrix reached witnesses of
+    # 30 times the Hadamard bits.
+    rng = random.Random(n)
+    rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    res = check_snf_invariants(IntMatrix.from_rows(rows))
+    assert _witness_bits(res) <= 2 * _hadamard_bits(rows)
+
+
+def test_divisibility_repair_is_one_gcd_step():
+    a, b = 2 ** 1600, 3 ** 1000
+    t0 = time.perf_counter()
+    res = smith_normal_form(IntMatrix.diagonal((a, b)))
+    elapsed = time.perf_counter() - t0
+    assert res.phi == (a * b, 1)
+    assert _witness_bits(res) <= a.bit_length() + b.bit_length() + 2
+    assert elapsed < 0.05
+    assert (res.u1 @ IntMatrix.diagonal((a, b)) @ res.u2).entries == res.normal_form().entries
+
+
+@st.composite
+def assorted_matrices(draw):
+    """Up to 12x12, tall, wide or empty; zero, small, large (+-10**6)
+    or rank-deficient entries."""
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+
+    def grid(r, c, bound):
+        return draw(st.lists(st.lists(st.integers(-bound, bound), min_size=c, max_size=c),
+                             min_size=r, max_size=r))
+
+    kind = draw(st.sampled_from(("zero", "small", "large", "low-rank")))
+    if kind == "low-rank" and min(rows, cols) > 1:
+        k = draw(st.integers(1, min(rows, cols) - 1))
+        return IntMatrix.from_rows(grid(rows, k, 9), k) @ IntMatrix.from_rows(grid(k, cols, 9), cols)
+    bound = {"zero": 0, "small": 3, "large": 10 ** 6}.get(kind, 9)
+    return IntMatrix.from_rows(grid(rows, cols, bound), cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(assorted_matrices())
+def test_factors_only_path_matches_witness_path(m):
+    # invariant_factors skips the Hermite passes and builds no witnesses,
+    # so the two routes reduce different matrices.
+    assert invariant_factors(m) == smith_normal_form(m).phi
+
+
+@pytest.mark.parametrize("crossings,strands", [(50, 5), (65, 7), (80, 9)])
+def test_factors_only_path_on_braid_goeritz(crossings, strands, braid):
+    code = braid.code_text(braid.braid_closure(
+        strands, braid.braid_word(random.Random(crossings), strands, crossings)))
+    d = parse_diagram(code)
+    rm = trace_regions(d)
+    m = goeritz_matrix(d, rm, checkerboard(rm)[0]).adjusted
+    assert m.rows > 20
+    assert invariant_factors(m) == check_snf_invariants(m).phi
