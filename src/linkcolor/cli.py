@@ -8,9 +8,9 @@ arrays of such strings. Integers of any length are read and written,
 whatever digit limit the interpreter sets on int/str conversion.
 
 Exit codes: 0 success, 2 malformed input, 3 non-planar rotation data,
-4 work bound exceeded: more variables than --enum-cap or more table
-entries than the fixed elimination budget for --bruteforce, an snf
-matrix past MAX_SNF_WORK, or a realize spec past its size caps.
+4 work bound exceeded: --bruteforce past --enum-cap variables or past
+coloring.MAX_FACTOR_WORK or MAX_ELIMINATION_WORK, an snf matrix past
+MAX_SNF_WORK, or a realize spec past its size caps.
 """
 
 from __future__ import annotations

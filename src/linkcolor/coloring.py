@@ -5,9 +5,8 @@ route reads the invariant factors of an adjusted Goeritz matrix and
 predicts how many colorings exist over any Z/m. The direct route never
 looks at a Goeritz matrix or an integer reduction: it counts the
 solutions of the crossing relations mod m straight from the diagram,
-summing out one variable at a time within a fixed budget of table
-entries. Tests lean on their agreement, so neither side may borrow from
-the other.
+by exact sparse elimination over each prime power of m. Tests lean
+on their agreement, so neither side may borrow from the other.
 
 Region colorings obey, at each crossing, the rule that the two
 quadrants flanking one end of the over strand sum to the same value as
@@ -19,8 +18,8 @@ contribute one unconstrained region (and one unconstrained arc) each.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from heapq import heapify, heappop, heappush
+from math import gcd
 
 from .diagram import Diagram, RegionMap, trace_regions, union_find
 from .goeritz import GoeritzData, goeritz_matrix
@@ -116,65 +115,98 @@ def structure_count(report: ColoringReport, modulus: int, which: str = "dehn") -
     raise ValueError(f"unknown coloring kind: {which!r}")
 
 
-# The work budget of one count, in table entries: every indicator
-# table, product and marginal the elimination allocates counts against
-# it, so it bounds memory (about 32 MB for an int64 table at the cap)
-# and work whatever the modulus. The catalog's worst case at m <= 9
-# needs about 33,000 entries; seeded braid closures of 30-40 crossings
-# at m <= 3 stay under 700,000.
-MAX_TABLE_ENTRIES = 2 ** 22
+# Work caps of one direct count, in word operations: a trial division
+# or an entry update costs one per 64-bit word of the number it works on
+# (the modulus, or p**k); about 10^6 run per second. Factoring splits
+# any modulus below 4 * 10^12, or whose second-largest prime factor is
+# below 2 * 10^6. 1000-crossing braid closures at m = 10^6 take at most
+# about 53,000 elimination operations per count.
+MAX_FACTOR_WORK = 2 ** 20
+MAX_ELIMINATION_WORK = 2 ** 21
 
 
-def _elimination_order(scopes: list[frozenset], modulus: int) -> tuple[list[int], int]:
-    """Greedy min-fill elimination order and the table entries it allocates.
+def _words(n: int) -> int:
+    return -(-n.bit_length() // 64)
 
-    A variable's bucket is the union of the scopes mentioning it. The
-    next variable is the one whose elimination joins the fewest pairs
-    of bucket variables that share no scope yet, then the one with the
-    smaller bucket, then the lower index. The entry count follows
-    _count_solutions exactly: one table per scope, one per pairwise
-    product inside a bucket, one per marginal.
+
+def _prime_powers(m: int) -> dict[int, int]:
+    """{p: k} with m == prod(p**k), by trial division within MAX_FACTOR_WORK."""
+    factors: dict[int, int] = {}
+    work, d = 0, 2
+    while d * d <= m:
+        work += _words(m)
+        if work > MAX_FACTOR_WORK:
+            left = work + (1 << (m.bit_length() + 1) // 2) // 2 * _words(m)
+            raise WorkBoundError(
+                f"factoring the modulus needs up to 2^{left.bit_length()} word operations "
+                f"of trial division, over the cap of {MAX_FACTOR_WORK}")
+        if m % d:
+            d += 1 if d == 2 else 2
+        else:
+            m //= d
+            factors[d] = factors.get(d, 0) + 1
+    if m > 1:
+        factors[m] = factors.get(m, 0) + 1
+    return factors
+
+
+def _count_mod(nvars: int, relations, q: int, work: int) -> tuple[int, int]:
+    """(solutions mod q, work) for q a prime power, by sparse elimination.
+
+    gcd(c, q) is p**e for an entry c of p-adic valuation e. The pivot is
+    an entry of least valuation in the shortest row holding one, in the
+    column with fewest entries. Clearing its column keeps every
+    valuation at least e, so the pivot row then admits exactly p**e
+    values of its variable whatever the others are. Each variable left
+    without a pivot is free and contributes q.
     """
-    # nbrs[v]: v's bucket, v included.
-    nbrs: dict[int, set[int]] = {}
-    for s in scopes:
-        for v in s:
-            nbrs.setdefault(v, set()).update(s)
+    rows, cols = {}, {}
+    for i, rel in enumerate(relations):
+        row: dict[int, int] = {}
+        for v, c in rel:
+            row[v] = (row.get(v, 0) + c) % q
+        rows[i] = {v: c for v, c in row.items() if c}
+        for v in rows[i]:
+            cols.setdefault(v, set()).add(i)
 
-    def cost(u: int) -> tuple[int, int, int]:
-        others = nbrs[u] - {u}
-        fill = sum(len(others - nbrs[w]) for w in others) // 2
-        return fill, len(others), u
+    def key(row: dict[int, int]) -> tuple[int, int]:
+        return min(gcd(c, q) for c in row.values()), len(row)
 
-    entries = sum(modulus ** len(s) for s in scopes)
-    order = []
-    while nbrs:
-        v = min(nbrs, key=cost)
-        touching = [s for s in scopes if v in s]
-        union = touching[0]
-        for s in touching[1:]:
-            union |= s
-            entries += modulus ** len(union)
-        rest = union - {v}
-        entries += modulus ** len(rest)
-        scopes = [s for s in scopes if v not in s] + [rest]
-        del nbrs[v]
-        for u in rest:
-            nbrs[u] |= rest
-            nbrs[u].discard(v)
-        order.append(v)
-    return order, entries
-
-
-def _indicator(coefs: list[int], modulus: int, dtype) -> np.ndarray:
-    """0/1 table over (Z/modulus)^len(coefs), 1 where sum(c * x) == 0."""
-    k = len(coefs)
-    acc = np.zeros((1,) * k, dtype=np.int64)
-    for axis, c in enumerate(coefs):
-        shape = [1] * k
-        shape[axis] = modulus
-        acc = (acc + c * np.arange(modulus, dtype=np.int64).reshape(shape)) % modulus
-    return (acc == 0).astype(dtype)
+    heap = [(*key(row), i) for i, row in rows.items() if row]
+    heapify(heap)
+    count, free = 1, nvars
+    while heap:
+        g, size, i = heappop(heap)
+        row = rows.get(i)
+        if not row or key(row) != (g, size):
+            continue
+        del rows[i]
+        v = min((u for u, c in row.items() if gcd(c, q) == g), key=lambda u: (len(cols[u]), u))
+        hits = cols[v] - {i}
+        work += len(hits) * size * _words(q)
+        if work > MAX_ELIMINATION_WORK:
+            raise WorkBoundError(
+                f"elimination needs at least {work} word operations, "
+                f"over the cap of {MAX_ELIMINATION_WORK}")
+        inverse = pow(row[v] // g, -1, q)
+        for j in hits:
+            other = rows[j]
+            f = other[v] // g * inverse % q
+            for u, c in row.items():
+                x = (other.get(u, 0) - f * c) % q
+                if x:
+                    other[u] = x
+                    cols[u].add(j)
+                else:
+                    other.pop(u, None)
+                    cols[u].discard(j)
+            if other:
+                heappush(heap, (*key(other), j))
+        for u in row:
+            cols[u].discard(i)
+        count *= g
+        free -= 1
+    return count * q ** free, work
 
 
 def _count_solutions(nvars: int, relations, modulus: int) -> int:
@@ -182,52 +214,16 @@ def _count_solutions(nvars: int, relations, modulus: int) -> int:
 
     relations is a list of (index, coefficient) lists, each meaning
     sum(coefficient * x[index]) == 0 mod modulus; an index may repeat.
-    Each relation becomes a 0/1 indicator table over its variables, and
-    the variables are summed out one at a time (bucket elimination) in
-    the order _elimination_order picks; a variable no relation mentions
-    contributes a factor of modulus.
-
-    When every relation's coefficients sum to 0 mod modulus, adding one
-    constant to every variable permutes the solutions in orbits of
-    size modulus, so the variable in most relations is pinned to 0 and
-    counted as free. Table entries count partial assignments, so tables
-    are int64 only while modulus**variables < 2**63 and hold Python
-    ints beyond that: the count is exact at any size. Refuses
-    (WorkBoundError) before allocating anything when the tables would
-    hold more than MAX_TABLE_ENTRIES entries in total.
+    By the Chinese remainder theorem the count is the product of the
+    counts mod each prime power p**k of modulus (_count_mod). Over a
+    diagonal form the count mod p**k is the product of gcd(d_i, p**k)
+    (Newman, Integral Matrices, 1972). Refuses (WorkBoundError) past
+    MAX_FACTOR_WORK or MAX_ELIMINATION_WORK.
     """
-    terms = []
-    for rel in relations:
-        acc: dict[int, int] = {}
-        for var, coef in rel:
-            acc[var] = (acc.get(var, 0) + coef) % modulus
-        terms.append({v: c for v, c in acc.items() if c})
-    if nvars and all(sum(t.values()) % modulus == 0 for t in terms):
-        pin = max(range(nvars), key=lambda v: (sum(v in t for t in terms), -v))
-        for t in terms:
-            t.pop(pin, None)
-    terms = [t for t in terms if t]
-    order, entries = _elimination_order([frozenset(t) for t in terms], modulus)
-    if entries > MAX_TABLE_ENTRIES:
-        raise WorkBoundError(
-            f"elimination needs {entries} table entries, over the cap of {MAX_TABLE_ENTRIES}")
-    dtype = np.int64 if modulus ** len(order) < 2 ** 63 else object
-    tables = []
-    for t in terms:
-        scope = sorted(t)
-        tables.append((scope, _indicator([t[v] for v in scope], modulus, dtype)))
-    for v in order:
-        touching = [f for f in tables if v in f[0]]
-        tables = [f for f in tables if v not in f[0]]
-        union = sorted(set().union(*(scope for scope, _ in touching)))
-        prod = None
-        for scope, table in touching:
-            view = table.reshape([modulus if u in scope else 1 for u in union])
-            prod = view if prod is None else prod * view
-        tables.append(([u for u in union if u != v], prod.sum(axis=union.index(v))))
-    count = modulus ** (nvars - len(order))
-    for _, table in tables:
-        count *= int(table)
+    count, work = 1, 0
+    for p, k in _prime_powers(modulus).items():
+        n, work = _count_mod(nvars, relations, p ** k, work)
+        count *= n
     return count
 
 
@@ -241,9 +237,9 @@ def dehn_count_bruteforce(
     """Count region colorings over Z/modulus without Goeritz machinery.
 
     Counts the solutions of the crossing relations mod modulus by
-    variable elimination (_count_solutions), one variable per region.
-    Refuses (WorkBoundError) past ``region_cap`` variables or
-    MAX_TABLE_ENTRIES table entries. "enumerate" is the only method.
+    sparse elimination (_count_solutions), one variable per region.
+    Refuses (WorkBoundError) past ``region_cap`` variables or the work
+    caps of _count_solutions. "enumerate" is the only method.
     """
     if modulus < 2:
         raise ValueError("modulus must be at least 2")
@@ -275,9 +271,9 @@ def fox_count_bruteforce(d: Diagram, modulus: int, *, arc_cap: int = 8) -> int:
     """Count arc colorings over Z/modulus without Goeritz machinery.
 
     At every crossing twice the over-arc equals the sum of the two
-    under-arc ends; the solutions are counted by variable elimination
+    under-arc ends; the solutions are counted by sparse elimination
     (_count_solutions), one variable per arc. Refuses past ``arc_cap``
-    arcs or MAX_TABLE_ENTRIES table entries.
+    arcs or the work caps of _count_solutions.
     """
     if modulus < 2:
         raise ValueError("modulus must be at least 2")

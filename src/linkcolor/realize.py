@@ -64,6 +64,8 @@ def realize(spec) -> Realization:
         raise ValueError("invariant factors are non-negative")
     crossings, order = sum(f or 2 for f in spec), len(spec) + 1
     if crossings > MAX_REALIZE_CROSSINGS or order > MAX_REALIZE_ORDER:
+        if crossings.bit_length() > 256:  # str() refuses ints past 4,300 digits
+            crossings = f"over 2^{crossings.bit_length() - 1}"
         raise WorkBoundError(
             f"realization needs {crossings} crossings and a matrix of order {order}, over the "
             f"caps of {MAX_REALIZE_CROSSINGS} crossings and order {MAX_REALIZE_ORDER}")

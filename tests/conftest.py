@@ -1,4 +1,5 @@
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,3 +13,41 @@ def braid():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session")
+def two_bridge():
+    """Builder of the known-answer 2-bridge family."""
+
+    def four_plat(terms) -> tuple[str, int]:
+        """Code of the 2-bridge link with continued fraction
+        [a1; a2, ..., an], and the numerator p of that fraction.
+
+        The link is the 4-plat of the word s2^a1 s1^-a2 s2^a3 ..., in the
+        sign convention of bench/braid.py, cupped at the bottom and capped
+        at the top on positions (1, 2) and (3, 4). Its double branched
+        cover is the lens space L(p, q), so the non-unit invariant factors
+        of either shading are exactly (0, p) (Schubert 1956). n must be
+        odd and every ai at least 1: for even n the cap undoes the last
+        twists by a Reidemeister I move and the last term is lost.
+        """
+        if len(terms) % 2 == 0 or min(terms) < 1:
+            raise ValueError("need an odd number of terms, each at least 1")
+        at = [1, 1, 2, 2]  # label entering each position; the cups pair them
+        nxt = 3
+        crossings = []
+        for n, a in enumerate(terms):
+            i, sign = (2, 1) if n % 2 == 0 else (1, -1)
+            for _ in range(a):
+                sw, se, nw, ne = at[i - 1], at[i], nxt, nxt + 1
+                nxt += 2
+                crossings.append((sw, se, ne, nw) if sign > 0 else (se, ne, nw, sw))
+                at[i - 1], at[i] = nw, ne
+        cap = {at[1]: at[0], at[3]: at[2]}
+        code = ";".join("X({},{},{},{})".format(*(cap.get(v, v) for v in c)) for c in crossings)
+        value = Fraction(terms[-1])
+        for a in reversed(terms[:-1]):
+            value = a + 1 / value
+        return code, value.numerator
+
+    return four_plat

@@ -86,14 +86,14 @@ def test_ac2_dehn_count_oracle(capsys):
 
 
 def test_oracle_on_braid_closures(capsys, braid):
-    """Both counting routes agree on closures of 30-40 crossings, four
-    times the catalog's largest diagram and far past what a scan of
-    m**regions assignments could reach."""
+    """Both counting routes agree on closures of 100-300 crossings, over
+    thirty times the catalog's largest diagram and far past what a scan
+    of m**regions assignments could reach."""
     t0 = time.perf_counter()
     rng = random.Random(20261018)
     ok = True
     cases = 0
-    for crossings in (30, 33, 36, 40):
+    for crossings in (100, 170, 240, 300):
         for strands in (3, 5, 7):
             code = braid.code_text(braid.braid_closure(
                 strands, braid.braid_word(rng, strands, crossings)))
@@ -101,9 +101,9 @@ def test_oracle_on_braid_closures(capsys, braid):
             regions = trace_regions(d).region_count
             ok = ok and regions == crossings + 2
             rep = dehn_structure(d)
-            # Dehn at 40 crossings and m=3 eliminates 41 region
-            # variables: 3**41 > 2**63 puts it on the Python-int tables.
-            for m in (2, 3):
+            # 9 and 12 exercise prime powers and the product over primes,
+            # 10**6 both at once with 2**6 and 5**6.
+            for m in (2, 3, 9, 12, 10 ** 6):
                 ok = ok and dehn_count_bruteforce(d, m, region_cap=regions) \
                     == structure_count(rep, m, "dehn")
                 ok = ok and fox_count_bruteforce(d, m, arc_cap=crossings) \
@@ -111,7 +111,8 @@ def test_oracle_on_braid_closures(capsys, braid):
                 cases += 1
     _report(capsys, "ORACLE", ok, time.perf_counter() - t0, 10.0,
             f"Dehn and Fox elimination counts match the invariant factors "
-            f"in {cases} cases (braid closures of 30-40 crossings, m=2,3)")
+            f"in {cases} cases (braid closures of 100-300 crossings, "
+            f"m=2,3,9,12,10^6)")
 
 
 def test_ac3_snf_property_suite(capsys):

@@ -14,7 +14,7 @@ import pytest
 from linkcolor import cli
 from linkcolor.catalog import CODES
 from linkcolor.cli import MAX_SNF_WORK, main
-from linkcolor.coloring import MAX_TABLE_ENTRIES
+from linkcolor.coloring import MAX_FACTOR_WORK
 from linkcolor.intlattice import IntMatrix, smith_normal_form
 from linkcolor.realize import MAX_REALIZE_CROSSINGS, MAX_REALIZE_ORDER
 
@@ -279,16 +279,23 @@ class TestExitCodes:
         assert res.returncode == 4
 
     def test_state_budget(self, trefoil_file, capsys):
-        # Five region variables are within --enum-cap, but elimination
-        # tables over Z/100000 are not within the entry budget: refused
-        # at once instead of allocated. Run in-process so the bound
-        # times the refusal, not interpreter start.
-        start = time.perf_counter()
-        code = main(["colorings", "--mod", "100000", "--bruteforce", trefoil_file])
-        assert time.perf_counter() - start < 1.0
-        assert code == 4
-        err = capsys.readouterr().err
-        assert re.search(r"needs \d+ table entries", err) and str(MAX_TABLE_ENTRIES) in err
+        # Z/100000 splits into 2^5 and 5^5 at once, so the direct count
+        # runs. A product of two primes near 10^20 would need about
+        # 10^20 trial divisions: refused at the factoring cap. Run
+        # in-process so the bound times the refusal, not interpreter
+        # start.
+        assert main(["colorings", "--mod", "100000", "--bruteforce", trefoil_file]) == 0
+        # A x A x A(3): 100000^2 * gcd(3, 100000) colorings.
+        assert json.loads(capsys.readouterr().out)["bruteforce"] == str(100000 ** 2)
+        modulus = (10 ** 20 + 39) * (10 ** 20 + 129)
+        for cmd in ("colorings", "fox"):
+            start = time.perf_counter()
+            code = main([cmd, "--mod", str(modulus), "--bruteforce", trefoil_file])
+            assert time.perf_counter() - start < 1.0
+            assert code == 4
+            err = capsys.readouterr().err
+            assert re.search(r"needs up to 2\^\d+ word operations", err)
+            assert str(MAX_FACTOR_WORK) in err
 
     def test_snf_work_bound(self, tmp_path, capsys):
         # A dense order-120 matrix, and a single row whose column
@@ -318,6 +325,16 @@ class TestExitCodes:
             assert estimate in err
             assert str(MAX_REALIZE_CROSSINGS) in err and str(MAX_REALIZE_ORDER) in err
 
+    def test_realize_factor_past_the_digit_limit(self, capsys):
+        # A factor of 4,400 digits: refused with exit 4, its crossing
+        # count named by bit length, not converted to a numeral.
+        start = time.perf_counter()
+        code = main(["realize", "9" * 4400])
+        assert time.perf_counter() - start < 1.0
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "over 2^14616 crossings" in err and str(MAX_REALIZE_CROSSINGS) in err
+
     def test_deeply_nested_json(self, tmp_path):
         p = tmp_path / "deep.json"
         p.write_text("[" * 50_000)
@@ -327,6 +344,18 @@ class TestExitCodes:
 
     def test_usage_error(self):
         assert run("colorings", "-") .returncode == 2
+
+
+class TestImport:
+    def test_no_numpy(self):
+        # numpy cost most of the import time while the direct counters
+        # used it; the library now needs only the standard library.
+        res = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, linkcolor, linkcolor.cli; print('numpy' in sys.modules)"],
+            capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False"
 
 
 class TestDeterminism:

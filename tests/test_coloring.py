@@ -7,6 +7,7 @@ from both sides.
 
 import itertools
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +15,8 @@ from hypothesis import strategies as st
 
 from linkcolor.catalog import load, names
 from linkcolor.coloring import (
+    MAX_FACTOR_WORK,
     _count_solutions,
-    _elimination_order,
     arc_partition,
     coloring_equivalent,
     crossing_relations,
@@ -123,12 +124,18 @@ class TestDehnBruteForce:
     def test_enumeration_cap(self):
         with pytest.raises(WorkBoundError):
             dehn_count_bruteforce(load("granny"), 3, method="enumerate", region_cap=5)
-        # Five regions and three arcs, but tables over Z/100000: the
-        # table-entry budget refuses.
-        with pytest.raises(WorkBoundError, match="table entries"):
-            dehn_count_bruteforce(load("trefoil"), 100000)
-        with pytest.raises(WorkBoundError, match="table entries"):
-            fox_count_bruteforce(load("trefoil"), 100000)
+        # A large modulus with small prime factors is cheap: 2^5 * 5^5.
+        rep = dehn_structure(load("trefoil"))
+        assert dehn_count_bruteforce(load("trefoil"), 100000) == \
+            structure_count(rep, 100000, "dehn")
+        assert fox_count_bruteforce(load("trefoil"), 100000) == \
+            structure_count(rep, 100000, "fox")
+        # Two primes near 10^20: trial division would need about 10^20
+        # steps to split their product, and the factoring cap refuses.
+        modulus = (10 ** 20 + 39) * (10 ** 20 + 129)
+        for count in (dehn_count_bruteforce, fox_count_bruteforce):
+            with pytest.raises(WorkBoundError, match=f"trial division.*{MAX_FACTOR_WORK}"):
+                count(load("trefoil"), modulus)
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
@@ -165,7 +172,8 @@ def linear_systems(draw):
     negative coefficients, variables no relation mentions. The modulus
     keeps the reference scan within 10,000 assignments. About half the
     systems get a last term in each relation making its coefficients
-    sum to 0, so the pinned branch runs as well as the unpinned one."""
+    sum to 0, like the crossing relations, whose solutions then come in
+    orbits of translations."""
     nvars = draw(st.integers(1, 6))
     modulus = draw(st.integers(2, max(m for m in range(2, 10) if m ** nvars <= 10_000)))
     term = st.tuples(st.integers(0, nvars - 1), st.integers(-4, 4))
@@ -182,21 +190,41 @@ class TestCountSolutions:
     def test_matches_scan(self, system):
         assert _count_solutions(*system) == scan_count(*system)
 
-    def test_budget_counts_every_table(self):
-        # Chain x0 - x1 - x2 mod 3: two 9-entry indicators; summing out
-        # x0 leaves a 3-entry marginal; x1's bucket needs a 9-entry
-        # product and a 3-entry marginal; x2's marginal is a scalar.
-        scopes = [frozenset({0, 1}), frozenset({1, 2})]
-        assert _elimination_order(scopes, 3) == ([0, 1, 2], 18 + 3 + 9 + 3 + 1)
-
     def test_exact_past_int64(self):
-        # 3*y_i == k*z (mod 9) for 45 variables y_i: partial counts reach
-        # 3**45 > 2**63, so the tables must hold Python ints.
+        # 3*y_i == k*z (mod 9) for 45 variables y_i: the counts pass
+        # 2**63 and stay exact; pivots of valuation 1 contribute 3 each.
         ys = range(45)
         balanced = [[(y, 3), (45, -3)] for y in ys]
         assert _count_solutions(46, balanced, 9) == 9 * 3 ** 45
         unbalanced = [[(y, 3), (45, -2)] for y in ys]
         assert _count_solutions(46, unbalanced, 9) == 3 * 3 ** 45
+
+
+class TestTwoBridgeFamily:
+    """2-bridge links and T(2, n) have non-unit invariant factors (0, p),
+    so m^2 * gcd(p, m) Dehn and m * gcd(p, m) Fox colorings mod m: a
+    third check on both routes that needs no reduction."""
+
+    def test_both_routes_match_the_closed_form(self, two_bridge, braid):
+        rng = random.Random(20261019)
+        cases = [two_bridge([rng.randint(1, 40) for _ in range(rng.choice((3, 5, 7, 9)))])
+                 for _ in range(10)]
+        cases += [(braid.code_text(braid.braid_closure(2, [(1, 1)] * n)), n) for n in (2, 9, 24)]
+        dividing = []
+        for code, p in cases:
+            d = parse_diagram(code)
+            rm = trace_regions(d)
+            reps = [dehn_structure(d, s, region_map=rm) for s in checkerboard(rm)]
+            assert [tuple(f for f in rep.phi if f != 1) for rep in reps] == [(0, p)] * 2
+            divisor = next((q for q in range(2, 10 ** 4) if p % q == 0), p)
+            for m in sorted({divisor, 2, 3, 12, 10 ** 6}):
+                g = gcd(p, m)
+                dividing.append(g == m)
+                assert {structure_count(rep, m, "dehn") for rep in reps} == {m * m * g}
+                assert {structure_count(rep, m, "fox") for rep in reps} == {m * g}
+                assert dehn_count_bruteforce(d, m, region_cap=rm.region_count) == m * m * g
+                assert fox_count_bruteforce(d, m, arc_cap=d.crossing_count) == m * g
+        assert sum(dividing) >= 13 and dividing.count(False) >= 13
 
 
 class TestArcsAndFox:
