@@ -232,21 +232,22 @@ def dehn_count_bruteforce(
     modulus: int,
     *,
     method: str = "enumerate",
-    region_cap: int = 8,
+    region_cap: int | None = 8,
 ) -> int:
     """Count region colorings over Z/modulus without Goeritz machinery.
 
     Counts the solutions of the crossing relations mod modulus by
     sparse elimination (_count_solutions), one variable per region.
-    Refuses (WorkBoundError) past ``region_cap`` variables or the work
-    caps of _count_solutions. "enumerate" is the only method.
+    Refuses (WorkBoundError) past ``region_cap`` variables, unless it
+    is None, or past the work caps of _count_solutions. "enumerate" is
+    the only method.
     """
     if modulus < 2:
         raise ValueError("modulus must be at least 2")
     if method != "enumerate":
         raise ValueError(f"unknown method: {method!r}")
     rm = trace_regions(d)
-    if rm.region_count > region_cap:
+    if region_cap is not None and rm.region_count > region_cap:
         raise WorkBoundError(
             f"{rm.region_count} regions exceeds the enumeration cap {region_cap}")
     relations = [rel.coefficients() for rel in crossing_relations(d, rm)]
@@ -267,18 +268,18 @@ def arc_partition(d: Diagram) -> tuple[dict[int, int], int]:
     return {v: root_index[root[v]] for v in labels}, len(root_index) + d.free_circles
 
 
-def fox_count_bruteforce(d: Diagram, modulus: int, *, arc_cap: int = 8) -> int:
+def fox_count_bruteforce(d: Diagram, modulus: int, *, arc_cap: int | None = 8) -> int:
     """Count arc colorings over Z/modulus without Goeritz machinery.
 
     At every crossing twice the over-arc equals the sum of the two
     under-arc ends; the solutions are counted by sparse elimination
     (_count_solutions), one variable per arc. Refuses past ``arc_cap``
-    arcs or the work caps of _count_solutions.
+    arcs, unless it is None, or past the work caps of _count_solutions.
     """
     if modulus < 2:
         raise ValueError("modulus must be at least 2")
     arc_of, n_arcs = arc_partition(d)
-    if n_arcs > arc_cap:
+    if arc_cap is not None and n_arcs > arc_cap:
         raise WorkBoundError(f"{n_arcs} arcs exceeds the enumeration cap {arc_cap}")
     relations = [((arc_of[c.slots[1]], 2), (arc_of[c.slots[0]], -1), (arc_of[c.slots[2]], -1))
                  for c in d.crossings]

@@ -9,8 +9,11 @@ One reduction routine serves both routes to the invariant factors.
 witnesses; it is what the cokernel, kernel-count and coloring code
 call. ``smith_normal_form`` runs it on the matrix augmented with two
 identities, which carry the witnesses, after a row and a column
-Hermite pass that keep the witnesses near the size of the determinant.
-A divisibility failure is repaired by one extended-gcd column step.
+Hermite pass. Each pass inserts rows one at a time into a reduced
+Hermite basis (Kannan and Bachem, SIAM J. Comput. 1979), so no
+intermediate entry grows far past the determinant, and size-reduces
+the witnesses by the kernel rows it finds. A divisibility failure is
+repaired by one extended-gcd column step.
 
 The diagonal convention puts divisibility in descending order:
 ``phi[j]`` divides ``phi[j-1]``, with every integer dividing 0. For a
@@ -278,37 +281,68 @@ def _diagonalize(a, rows, cols):
 
 
 def _hermite_rows(a, rows, cols):
-    """Row Hermite pass over the leading rows x cols block of ``a``.
+    """Row Hermite form of the leading rows x cols block of ``a``, by
+    row insertion (Kannan and Bachem, SIAM J. Comput. 1979).
 
-    Column by column, Euclid on the rows at and below the current pivot
-    row leaves one nonzero there, made positive, and every row above is
-    then reduced modulo it. Extra columns take part as in _diagonalize.
+    The rows enter one at a time into a reduced basis kept as
+    {pivot column: row}. An entering row is reduced at its leading
+    column against the basis row there: by a multiple when that pivot
+    divides the entry, else by one extended-gcd step that also replaces
+    the basis row. A row whose leading column has no pivot joins the
+    basis, made positive. After every change to the basis the entries
+    above each pivot are reduced modulo it, in increasing pivot order,
+    so entries stay near the size of the determinant of the lattice
+    built so far instead of growing with each Euclid step.
+
+    The pivot rows come out first, in column order, then the rows that
+    ended zero in the block. Extra columns take part as in _diagonalize;
+    the zero rows, which carry kernel vectors there, then size-reduce
+    the extra columns of every other row (nearest-integer multiple of
+    the projection, two sweeps), which leaves the block untouched.
     """
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
+    basis = {}
+    kernel = []
+    for i in range(rows):
+        row, c, changed = a[i], -1, False
         while True:
-            below = [i for i in range(r, rows) if a[i][c]]
-            if not below:
+            c = next((j for j in range(c + 1, cols) if row[j]), None)
+            if c is None:
+                kernel.append(row)
                 break
-            best = min(below, key=lambda i: (abs(a[i][c]), a[i][c] < 0))
-            a[r], a[best] = a[best], a[r]
-            if len(below) == 1:
+            b = basis.get(c)
+            if b is None:
+                basis[c] = row if row[c] > 0 else [-v for v in row]
+                changed = True
                 break
-            for i in range(r + 1, rows):
-                q = a[i][c] // a[r][c]
-                if q:
-                    a[i] = [v - q * u for u, v in zip(a[r], a[i])]
-        if not below:
-            continue
-        if a[r][c] < 0:
-            a[r] = [-v for v in a[r]]
-        for i in range(r):
-            q = a[i][c] // a[r][c]
-            if q:
-                a[i] = [v - q * u for u, v in zip(a[r], a[i])]
-        r += 1
+            x, y = b[c], row[c]
+            if y % x == 0:
+                q = y // x
+                row = [v - q * u for u, v in zip(b, row)]
+                continue
+            g, s, t = _xgcd(x, y)
+            xg, yg = x // g, y // g
+            basis[c] = [s * u + t * v for u, v in zip(b, row)]
+            row = [xg * v - yg * u for u, v in zip(b, row)]
+            changed = True
+        if changed:
+            order = sorted(basis)
+            for k, c in enumerate(order):
+                b = basis[c]
+                for d in order[:k]:
+                    q = basis[d][c] // b[c]
+                    if q:
+                        basis[d] = [v - q * u for u, v in zip(b, basis[d])]
+    out = [basis[c] for c in sorted(basis)] + kernel
+    for _ in range(2):
+        for k in range(len(basis), rows):
+            w = out[k][cols:]
+            ww = sum(v * v for v in w)
+            for i in range(rows):
+                if i != k:
+                    q = (2 * sum(u * v for u, v in zip(w, out[i][cols:])) + ww) // (2 * ww)
+                    if q:
+                        out[i] = [v - q * u for u, v in zip(out[k], out[i])]
+    a[:rows] = out
 
 
 def _flip(a, rows, cols):
@@ -327,10 +361,12 @@ def smith_normal_form(m: IntMatrix) -> SNFResult:
 
     The witnesses ride on the augmented matrix [[M, I], [I, 0]], whose
     zero corner is never read and so is left out. A row Hermite pass
-    runs first and leaves u1 near H M^-1, of the size of the
-    determinant rather than of the number of elimination steps; the
-    same pass on the transpose then does the columns, which keeps the
-    pivots the diagonalization meets small. The reduction of
+    by row insertion (_hermite_rows) runs first; for square nonsingular
+    M it leaves the unique u1 = H M^-1, of the size of the determinant
+    rather than of the number of elimination steps, and otherwise the
+    kernel rows size-reduce the witness rows. The same pass on the
+    transpose then does the columns, which keeps the pivots the
+    diagonalization meets small. The reduction of
     ``invariant_factors`` follows, and a fixed permutation then reverses
     the diagonal into the descending convention, which costs nothing
     but a relabeling of the witnesses.

@@ -278,6 +278,17 @@ class TestExitCodes:
                   "--enum-cap", "4", str(p))
         assert res.returncode == 4
 
+    def test_bruteforce_needs_no_enum_cap(self, tmp_path, braid, capsys):
+        # A 10-crossing closure has 12 regions and 10 arcs, past the old
+        # default proxy cap of 8; only the work caps bound the count.
+        p = tmp_path / "closure.txt"
+        p.write_text(braid.code_text(braid.braid_closure(
+            3, braid.braid_word(random.Random(10), 3, 10))))
+        for cmd, key in (("colorings", "dehn_order_mod_m"), ("fox", "fox_order_mod_m")):
+            assert main([cmd, "--mod", "3", "--bruteforce", str(p)]) == 0
+            data = json.loads(capsys.readouterr().out)
+            assert data["bruteforce"] == data[key]
+
     def test_state_budget(self, trefoil_file, capsys):
         # Z/100000 splits into 2^5 and 5^5 at once, so the direct count
         # runs. A product of two primes near 10^20 would need about
@@ -344,6 +355,26 @@ class TestExitCodes:
 
     def test_usage_error(self):
         assert run("colorings", "-") .returncode == 2
+
+
+class TestParserReuse:
+    # main() builds its parser once per process, so no call may leave
+    # state in it that the next call sees.
+    def test_defaults_after_an_override(self, trefoil_file, capsys):
+        assert main(["colorings", "--shading", "1", "--mod", "3", trefoil_file]) == 0
+        assert json.loads(capsys.readouterr().out)["phi"] == ["0", "3"]
+        assert main(["colorings", "--mod", "3", trefoil_file]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["phi"] == ["0", "3", "1"]
+        assert out == run("colorings", "--mod", "3", trefoil_file).stdout
+
+    def test_valid_call_after_a_usage_error(self, tmp_path, capsys):
+        p = tmp_path / "m.json"
+        p.write_text("[[2, 4, 4], [-6, 6, 12], [10, 4, 16]]")
+        assert main(["snf", "--bogus", str(p)]) == 2
+        capsys.readouterr()
+        assert main(["snf", str(p)]) == 0
+        assert capsys.readouterr().out == run("snf", str(p)).stdout
 
 
 class TestImport:

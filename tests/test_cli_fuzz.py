@@ -2,9 +2,10 @@
 in exit code 0, 2, 3 or 4 within bounded time and without a traceback.
 
 Diagram codes pair labels at random, so most of them are non-planar.
-Moduli run far past what elimination tables can hold, which the entry
-budget must refuse rather than attempt; moduli of 10^3-10^4 put one-
-and two-variable tables just under or over that budget.
+Moduli run up to 10^6, with extra draws from 10^3-10^4; the direct
+count under --bruteforce factors each one and eliminates over its
+prime powers, and must finish or refuse within its work caps
+(coloring.MAX_FACTOR_WORK and MAX_ELIMINATION_WORK).
 """
 
 from __future__ import annotations
