@@ -8,10 +8,9 @@ arrays of such strings. Integers of any length are read and written,
 whatever digit limit the interpreter sets on int/str conversion.
 
 Exit codes: 0 success, 2 malformed input, 3 non-planar rotation data,
-4 work bound exceeded: --bruteforce past --enum-cap variables, when
-given, or past coloring.MAX_FACTOR_WORK or MAX_ELIMINATION_WORK, an snf
-matrix past
-MAX_SNF_WORK, or a realize spec past its size caps.
+4 work bound exceeded: --bruteforce past coloring.MAX_FACTOR_WORK or
+MAX_ELIMINATION_WORK, an snf matrix past MAX_SNF_WORK, or a realize
+spec past its size caps.
 """
 
 from __future__ import annotations
@@ -239,7 +238,7 @@ def _cmd_colorings(args) -> None:
         f"fox_order_mod_{_decimal(args.mod)}: {_decimal(report['fox_order_mod_m'])}",
     ]
     if args.bruteforce:
-        n = dehn_count_bruteforce(d, args.mod, region_cap=args.enum_cap)
+        n = dehn_count_bruteforce(d, args.mod, region_cap=None)
         report["bruteforce"] = n
         plain.append(f"bruteforce: {_decimal(n)}")
     _emit(report, plain, args.plain)
@@ -260,7 +259,7 @@ def _cmd_fox(args) -> None:
         f"fox_order_mod_{_decimal(args.mod)}: {_decimal(report['fox_order_mod_m'])}",
     ]
     if args.bruteforce:
-        n = fox_count_bruteforce(d, args.mod, arc_cap=args.enum_cap)
+        n = fox_count_bruteforce(d, args.mod, arc_cap=None)
         report["bruteforce"] = n
         plain.append(f"bruteforce: {_decimal(n)}")
     _emit(report, plain, args.plain)
@@ -345,8 +344,6 @@ def _parser() -> argparse.ArgumentParser:
                        help="modulus, at least 2")
         p.add_argument("--bruteforce", action="store_true",
                        help="also enumerate colorings directly")
-        p.add_argument("--enum-cap", type=int, metavar="N",
-                       help="refuse the direct count beyond N variables")
 
     p = add("realize", _cmd_realize, "diagram realizing given factors",
             diagram_input=False)

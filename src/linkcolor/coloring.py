@@ -23,7 +23,7 @@ from math import gcd
 
 from .diagram import Diagram, RegionMap, trace_regions, union_find
 from .goeritz import GoeritzData, goeritz_matrix
-from .intlattice import GroupDescriptor, WorkBoundError, invariant_factors
+from .intlattice import GroupDescriptor, WorkBoundError, cokernel_descriptor, invariant_factors
 from .shading import Shading, checkerboard
 
 __all__ = [
@@ -290,6 +290,4 @@ def coloring_equivalent(a: GoeritzData, b: GoeritzData) -> bool:
     """Whether two shaded diagrams present the same coloring groups:
     equal invariant factor multisets of the adjusted matrices once
     units are dropped. Zeros must match; only 1s are disposable."""
-    fa = sorted(f for f in invariant_factors(a.adjusted) if f != 1)
-    fb = sorted(f for f in invariant_factors(b.adjusted) if f != 1)
-    return fa == fb
+    return cokernel_descriptor(a.adjusted) == cokernel_descriptor(b.adjusted)

@@ -5,7 +5,8 @@ of crossing-free circles ``O k``. The four labels of a crossing name
 the edge ends met counterclockwise starting from an incoming under
 strand, so slots 0 and 2 carry the under strand and slots 1 and 3 the
 over strand. Each edge label appears exactly twice across the whole
-code.
+code. Dart ``4*c + t`` is slot t of crossing c, and quadrant
+``4*c + q`` is the corner of crossing c between darts q and q+1 (mod 4).
 
 ``trace_regions`` recovers the complementary regions of the underlying
 curve. The code fixes the surface combinatorics but not the embedding,
@@ -131,17 +132,13 @@ def serialize_diagram(d: Diagram) -> str:
     return ";".join(parts)
 
 
-def _mate_table(d: Diagram) -> dict[tuple[int, int], tuple[int, int]]:
-    """Pair each dart (crossing, slot) with the other end of its edge."""
-    holders: dict[int, list[tuple[int, int]]] = {}
-    for ci, c in enumerate(d.crossings):
-        for t, v in enumerate(c.slots):
-            holders.setdefault(v, []).append((ci, t))
-    mate: dict[tuple[int, int], tuple[int, int]] = {}
-    for ends in holders.values():
-        a, b = ends
-        mate[a] = b
-        mate[b] = a
+def _mates(d: Diagram) -> list[int]:
+    """``mate[x]`` is the dart at the other end of dart x's edge."""
+    first: dict[int, int] = {}
+    mate = [0] * (4 * d.crossing_count)
+    for x, v in enumerate(v for c in d.crossings for v in c.slots):
+        y = first.setdefault(v, x)
+        mate[x], mate[y] = y, x
     return mate
 
 
@@ -170,14 +167,12 @@ def underlying_components(d: Diagram) -> tuple[tuple[int, ...], ...]:
     """Crossing indices grouped by connectivity of the underlying curve,
     each group ascending, groups ordered by their smallest member.
     Free circles are not included; they never touch a crossing."""
-    # Every crossing is joined to the first crossing holding each of its labels.
-    owners: dict[int, int] = {}
-    root = union_find(range(d.crossing_count), (
-        (owners.setdefault(v, ci), ci) for ci, c in enumerate(d.crossings) for v in c.slots))
+    root = union_find(range(d.crossing_count),
+                      ((x // 4, y // 4) for x, y in enumerate(_mates(d))))
     groups: dict[int, list[int]] = {}
-    for ci in range(d.crossing_count):
-        groups.setdefault(root[ci], []).append(ci)
-    return tuple(tuple(g) for g in sorted(groups.values(), key=lambda g: g[0]))
+    for c, r in root.items():
+        groups.setdefault(r, []).append(c)
+    return tuple(sorted(map(tuple, groups.values())))
 
 
 @dataclass(frozen=True)
@@ -214,61 +209,38 @@ def trace_regions(d: Diagram) -> RegionMap:
     ``crossings + 2`` faces; any shortfall means the code only embeds in
     a higher-genus surface and raises NonPlanarError.
     """
-    comps = underlying_components(d)
-    mate = _mate_table(d)
-    quad_face = [[-1, -1, -1, -1] for _ in range(d.crossing_count)]
+    mate = _mates(d)
+    # Scanning the quadrants upward numbers the faces in first-seen order.
+    face = [-1] * len(mate)
     n_faces = 0
+    for x in range(len(mate)):
+        if face[x] == -1:
+            y = x
+            while face[y] == -1:
+                face[y] = n_faces
+                y = mate[y - 3 if y % 4 == 3 else y + 1]
+            n_faces += 1
+    comps = underlying_components(d)
     for comp in comps:
-        comp_set = set(comp)
-        comp_faces = 0
-        for c0 in comp:
-            for q0 in range(4):
-                if quad_face[c0][q0] != -1:
-                    continue
-                face = n_faces + comp_faces
-                comp_faces += 1
-                # The face holding quadrant (c0, q0) lies to the left
-                # when departing along slot q0+1, so start there; the
-                # walk closes by assigning (c0, q0) itself last.
-                dart = (c0, (q0 + 1) % 4)
-                while True:
-                    mc, mt = mate[dart]
-                    if quad_face[mc][mt] != -1:
-                        break
-                    quad_face[mc][mt] = face
-                    dart = (mc, (mt + 1) % 4)
-        if comp_faces != len(comp_set) + 2:
+        n = len({f for c in comp for f in face[4 * c:4 * c + 4]})
+        if n != len(comp) + 2:
             raise NonPlanarError(
-                f"component at crossing {comp[0]} traces {comp_faces} faces, "
-                f"needs {len(comp_set) + 2} for a planar embedding")
-        n_faces += comp_faces
-
-    # Merge the outward face of every component into one unbounded
-    # region, then renumber densely keeping the remaining faces in
-    # first-seen order.
-    outer_faces = {quad_face[comp[0]][2] for comp in comps}
-    remap: dict[int, int] = {}
-    for f in sorted(outer_faces):
-        remap[f] = 0
-    nxt = 1
-    for c in range(d.crossing_count):
-        for q in range(4):
-            f = quad_face[c][q]
-            if f not in remap:
-                remap[f] = nxt
-                nxt += 1
-    quadrant_region = tuple(
-        tuple(remap[f] for f in quad_face[c]) for c in range(d.crossing_count))
-    # With no crossings nxt is still 1: region 0 is everything outside
-    # the circles, and each circle interior gets its own region.
-    circle_regions = []
-    for _ in range(d.free_circles):
-        circle_regions.append(nxt)
-        nxt += 1
+                f"component at crossing {comp[0]} traces {n} faces, "
+                f"needs {len(comp) + 2} for a planar embedding")
+    # Merge the outward face of every component into the unbounded
+    # region 0; the other faces keep their order from 1.
+    outer = {face[4 * comp[0] + 2] for comp in comps}
+    inner = [f for f in range(n_faces) if f not in outer]
+    region = [0] * n_faces
+    for r, f in enumerate(inner, 1):
+        region[f] = r
+    # Each free circle encloses a region of its own, numbered last.
+    n_regions = len(inner) + 1
     return RegionMap(
-        region_count=nxt,
-        quadrant_region=quadrant_region,
-        circle_regions=tuple(circle_regions),
+        region_count=n_regions + d.free_circles,
+        quadrant_region=tuple(
+            tuple(region[f] for f in face[x:x + 4]) for x in range(0, len(face), 4)),
+        circle_regions=tuple(range(n_regions, n_regions + d.free_circles)),
     )
 
 

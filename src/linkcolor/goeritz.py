@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import Diagram, RegionMap, union_find
+from .diagram import Diagram, RegionMap
 from .intlattice import IntMatrix
-from .shading import Shading, shaded_pair
+from .shading import Shading, checkerboard_graphs, shaded_pair
 
 __all__ = [
     "GoeritzData",
@@ -60,10 +60,8 @@ def goeritz_matrix(d: Diagram, rm: RegionMap, s: Shading) -> GoeritzData:
     col = {r: i for i, r in enumerate(regions)}
     n = len(regions)
     grid = [[0] * n for _ in range(n)]
-    shaded_edges = []
     for quads in rm.quadrant_region:
         p = shaded_pair(s, quads)
-        shaded_edges.append((quads[p], quads[p + 2]))
         i, j = col[quads[1 - p]], col[quads[3 - p]]
         if i != j:
             # Off the diagonal -eta; the diagonal keeps every row sum 0.
@@ -72,7 +70,7 @@ def goeritz_matrix(d: Diagram, rm: RegionMap, s: Shading) -> GoeritzData:
             grid[j][i] -= eta
             grid[i][i] += eta
             grid[j][j] += eta
-    beta_s = len(set(union_find(s.shaded_regions(), shaded_edges).values()))
+    beta_s = checkerboard_graphs(d, rm, s)[0].component_count
     matrix = IntMatrix.from_rows(grid, n)
     return GoeritzData(
         unshaded_regions=regions,

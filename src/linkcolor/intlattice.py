@@ -475,13 +475,9 @@ def cokernel_descriptor(m: IntMatrix) -> GroupDescriptor:
 def kernel_count_mod(m: IntMatrix, modulus: int) -> int:
     """Count row vectors x in (Z/modulus)^rows with x @ m == 0.
 
-    Equals the product of gcd(f, modulus) over the invariant factors of
-    the transpose (one per row), with gcd(0, m) = m picking up the free
-    directions, excess rows included.
+    That is the order of the transpose's cokernel over Z/modulus: the
+    product of gcd(f, modulus) over its invariant factors (one per row),
+    with gcd(0, m) = m picking up the free directions, excess rows
+    included.
     """
-    if modulus < 2:
-        raise ValueError("modulus must be at least 2")
-    out = 1
-    for f in invariant_factors(m.transpose()):
-        out *= math.gcd(f, modulus)
-    return out
+    return cokernel_descriptor(m.transpose()).order_mod(modulus)

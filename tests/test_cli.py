@@ -271,13 +271,6 @@ class TestExitCodes:
         res = run("regions", "-", stdin="X(1,2,1,2)")
         assert res.returncode == 3
 
-    def test_enum_cap(self, tmp_path):
-        p = tmp_path / "granny.txt"
-        p.write_text(CODES["granny"])
-        res = run("colorings", "--mod", "3", "--bruteforce",
-                  "--enum-cap", "4", str(p))
-        assert res.returncode == 4
-
     def test_bruteforce_needs_no_enum_cap(self, tmp_path, braid, capsys):
         # A 10-crossing closure has 12 regions and 10 arcs, past the old
         # default proxy cap of 8; only the work caps bound the count.

@@ -46,8 +46,6 @@ def diagram_argvs(draw) -> list[str]:
         argv += ["--mod", str(draw(st.integers(-1, 10**6) | st.integers(10**3, 10**4)))]
         if draw(st.booleans()):
             argv.append("--bruteforce")
-        if draw(st.booleans()):
-            argv += ["--enum-cap", str(draw(st.integers(0, 8)))]
     return argv
 
 

@@ -54,7 +54,6 @@ def cases() -> list[str]:
                         out.append(f"{cmd} {fmt}--shading {s} --mod {m} {path}")
                         out.append(f"{cmd} {fmt}--shading {s} --mod {m} --bruteforce {path}")
         for cmd in ("colorings", "fox"):
-            out.append(f"{cmd} {fmt}--mod 3 --bruteforce --enum-cap 4 granny.txt")
             out.append(f"{cmd} {fmt}--mod 1 trefoil.txt")
         out.append(f"regions {fmt}- < trefoil.txt")
         out.append(f"matrix {fmt}--adjusted - < unlink2.txt")

@@ -1,5 +1,7 @@
 """Diagram code parsing and region tracing."""
 
+import random
+
 import pytest
 
 from linkcolor.catalog import CODES, load, names
@@ -8,6 +10,7 @@ from linkcolor.diagram import (
     Diagram,
     DiagramError,
     NonPlanarError,
+    RegionMap,
     disjoint_union,
     parse_diagram,
     relabel_edges,
@@ -15,6 +18,7 @@ from linkcolor.diagram import (
     trace_regions,
     underlying_components,
 )
+from linkcolor.realize import realize
 
 REGION_COUNTS = {
     "unknot": 2,
@@ -159,6 +163,101 @@ class TestRegions:
         d = parse_diagram("X(1,2,1,2);X(3,4,4,3)")
         with pytest.raises(NonPlanarError):
             trace_regions(d)
+
+
+def _reference_trace_regions(d: Diagram) -> RegionMap:
+    """The tracer that the walk over integer darts replaced: a mate
+    table keyed by (crossing, slot), one face walk per component, then a
+    renumbering. The reference for region numbering."""
+    holders: dict[int, list[tuple[int, int]]] = {}
+    for ci, c in enumerate(d.crossings):
+        for t, v in enumerate(c.slots):
+            holders.setdefault(v, []).append((ci, t))
+    mate: dict[tuple[int, int], tuple[int, int]] = {}
+    for a, b in holders.values():
+        mate[a] = b
+        mate[b] = a
+    comps = underlying_components(d)
+    quad_face = [[-1, -1, -1, -1] for _ in range(d.crossing_count)]
+    n_faces = 0
+    for comp in comps:
+        comp_faces = 0
+        for c0 in comp:
+            for q0 in range(4):
+                if quad_face[c0][q0] != -1:
+                    continue
+                face = n_faces + comp_faces
+                comp_faces += 1
+                dart = (c0, (q0 + 1) % 4)
+                while True:
+                    mc, mt = mate[dart]
+                    if quad_face[mc][mt] != -1:
+                        break
+                    quad_face[mc][mt] = face
+                    dart = (mc, (mt + 1) % 4)
+        if comp_faces != len(comp) + 2:
+            raise NonPlanarError(
+                f"component at crossing {comp[0]} traces {comp_faces} faces, "
+                f"needs {len(comp) + 2} for a planar embedding")
+        n_faces += comp_faces
+    remap = {f: 0 for f in sorted({quad_face[comp[0]][2] for comp in comps})}
+    nxt = 1
+    for c in range(d.crossing_count):
+        for q in range(4):
+            f = quad_face[c][q]
+            if f not in remap:
+                remap[f] = nxt
+                nxt += 1
+    quadrant_region = tuple(
+        tuple(remap[f] for f in quad_face[c]) for c in range(d.crossing_count))
+    circle_regions = []
+    for _ in range(d.free_circles):
+        circle_regions.append(nxt)
+        nxt += 1
+    return RegionMap(
+        region_count=nxt,
+        quadrant_region=quadrant_region,
+        circle_regions=tuple(circle_regions),
+    )
+
+
+class TestReferenceTracer:
+    """trace_regions numbers every region as the reference tracer does."""
+
+    def test_catalog_and_circles(self):
+        for d in [load(name) for name in names()] + [parse_diagram("O 3")]:
+            assert trace_regions(d) == _reference_trace_regions(d)
+
+    def test_braid_closures(self, braid):
+        rng = random.Random(9)
+        for crossings in [10, 600] + [rng.randint(10, 600) for _ in range(18)]:
+            strands = rng.randint(2, 9)
+            d = parse_diagram(braid.code_text(
+                braid.braid_closure(strands, braid.braid_word(rng, strands, crossings))))
+            assert trace_regions(d) == _reference_trace_regions(d)
+
+    def test_realized_diagrams(self):
+        for spec in [(), (0,), (1,), (0, 0), (6, 4), (0, 3, 3, 1), (2, 0, 5), (1, 0, 12, 7, 0)]:
+            d = realize(spec).diagram
+            assert trace_regions(d) == _reference_trace_regions(d)
+
+    def test_disjoint_unions_with_circles(self):
+        rng = random.Random(3)
+        for _ in range(30):
+            d = parse_diagram(f"O {rng.randint(1, 3)}")
+            for name in rng.sample(names(), rng.randint(2, 3)):
+                pair = (d, load(name)) if rng.random() < 0.5 else (load(name), d)
+                d = disjoint_union(*pair)
+            assert trace_regions(d) == _reference_trace_regions(d)
+
+    @pytest.mark.parametrize("code", ["X(1,2,1,2)", "X(1,2,1,2);X(3,4,4,3)"])
+    def test_same_nonplanar_message(self, code):
+        d = parse_diagram(code)
+        with pytest.raises(NonPlanarError) as mine:
+            trace_regions(d)
+        with pytest.raises(NonPlanarError) as ref:
+            _reference_trace_regions(d)
+        assert str(mine.value) == str(ref.value)
 
 
 class TestRewriting:
