@@ -167,8 +167,12 @@ def underlying_components(d: Diagram) -> tuple[tuple[int, ...], ...]:
     """Crossing indices grouped by connectivity of the underlying curve,
     each group ascending, groups ordered by their smallest member.
     Free circles are not included; they never touch a crossing."""
-    root = union_find(range(d.crossing_count),
-                      ((x // 4, y // 4) for x, y in enumerate(_mates(d))))
+    return _components(d.crossing_count, _mates(d))
+
+
+def _components(crossing_count: int, mate: list[int]) -> tuple[tuple[int, ...], ...]:
+    """underlying_components from the mate list of ``_mates``."""
+    root = union_find(range(crossing_count), ((x // 4, y // 4) for x, y in enumerate(mate)))
     groups: dict[int, list[int]] = {}
     for c, r in root.items():
         groups.setdefault(r, []).append(c)
@@ -220,7 +224,7 @@ def trace_regions(d: Diagram) -> RegionMap:
                 face[y] = n_faces
                 y = mate[y - 3 if y % 4 == 3 else y + 1]
             n_faces += 1
-    comps = underlying_components(d)
+    comps = _components(d.crossing_count, mate)
     for comp in comps:
         n = len({f for c in comp for f in face[4 * c:4 * c + 4]})
         if n != len(comp) + 2:

@@ -209,10 +209,20 @@ def _xgcd(x, y):
 def _place_pivot(a, rows, cols, p):
     """Clear row/column p and make a[p][p] divide the rest of the block.
 
-    Returns False when the trailing block is already all zero. Every
-    round that does not finish leaves a smaller nonzero |value| in the
-    block: a remainder of the clearing, or the gcd that the repair of a
-    divisibility failure puts at (p, p). So the loop terminates.
+    Returns False when the trailing block is already all zero. Each
+    step touches only what the pivot reaches. A row step subtracts a
+    multiple of the pivot row at the pivot row's nonzero positions,
+    witness columns included; they are listed once per round, since row
+    steps leave the pivot row alone. A column step subtracts a multiple
+    of column p from the rows with a nonzero in column p, witness rows
+    included; they too are listed once per round, since column steps
+    leave column p alone. A pivot of +-1 divides everything, so it
+    returns without scanning the block for a divisibility failure.
+
+    Every round that does not finish leaves a smaller nonzero |value|
+    in the block: a remainder of the clearing, or the gcd that the
+    repair of a divisibility failure puts at (p, p). So the loop
+    terminates.
     """
     while True:
         found = _select_pivot(a, rows, cols, p)
@@ -224,25 +234,32 @@ def _place_pivot(a, rows, cols, p):
         if bj != p:
             for row in a:
                 row[p], row[bj] = row[bj], row[p]
-        pivot = a[p][p]
+        prow = a[p]
+        pivot = prow[p]
+        support = [k for k, u in enumerate(prow) if u]
         clean = True
         for i in range(p + 1, rows):
-            if a[i][p]:
-                q = a[i][p] // pivot
+            row = a[i]
+            if row[p]:
+                q = row[p] // pivot
                 if q:
-                    a[i] = [v - q * u for u, v in zip(a[p], a[i])]
-                if a[i][p]:
+                    for k in support:
+                        row[k] -= q * prow[k]
+                if row[p]:
                     clean = False
+        column = [row for row in a if row[p]]
         for j in range(p + 1, cols):
-            if a[p][j]:
-                q = a[p][j] // pivot
+            if prow[j]:
+                q = prow[j] // pivot
                 if q:
-                    for row in a:
+                    for row in column:
                         row[j] -= q * row[p]
-                if a[p][j]:
+                if prow[j]:
                     clean = False
         if not clean:
             continue
+        if pivot == 1 or pivot == -1:
+            return True
         offender = next(((i, j) for i in range(p + 1, rows) for j in range(p + 1, cols)
                          if a[i][j] % pivot), None)
         if offender is None:
@@ -265,11 +282,13 @@ def _diagonalize(a, rows, cols):
     """Reduce the leading rows x cols block of ``a`` in place to a
     nonnegative diagonal, each entry dividing the next; return it.
 
-    Row operations run along whole rows of ``a`` and column operations
-    down whole columns, so extra columns right of the block take part
-    in every row operation and extra rows below it in every column
-    operation. That is how witnesses ride along; a bare matrix yields
-    the factors alone.
+    Row operations run along the pivot row's nonzero positions in all
+    of ``a``'s columns, and column operations down the nonzero
+    positions of column p in all of ``a``'s rows, so extra columns
+    right of the block take part in every row operation and extra rows
+    below it in every column operation. That is how witnesses ride
+    along; a bare matrix yields the factors alone. Swaps and the
+    divisibility repair run over whole rows and columns.
     """
     t = min(rows, cols)
     for p in range(t):

@@ -1,15 +1,26 @@
 import importlib.util
+import os
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def src_env() -> dict[str, str]:
+    """Environment for a child Python process with src/ first on its
+    path. pytest's ``pythonpath`` setting reaches only the test process,
+    so without this a child in a fresh checkout cannot import linkcolor."""
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+
 
 @pytest.fixture(scope="session")
 def braid():
     """bench/braid.py, the seeded braid-closure generator, loaded by path."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "braid.py"
-    spec = importlib.util.spec_from_file_location("bench_braid", path)
+    spec = importlib.util.spec_from_file_location("bench_braid", ROOT / "bench" / "braid.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

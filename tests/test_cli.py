@@ -10,6 +10,7 @@ import sys
 import time
 
 import pytest
+from conftest import src_env
 
 from linkcolor import cli
 from linkcolor.catalog import CODES
@@ -22,7 +23,7 @@ from linkcolor.realize import MAX_REALIZE_CROSSINGS, MAX_REALIZE_ORDER
 def run(*argv, stdin=""):
     return subprocess.run(
         [sys.executable, "-m", "linkcolor", *argv],
-        input=stdin, capture_output=True, text=True, timeout=120)
+        input=stdin, capture_output=True, text=True, timeout=120, env=src_env())
 
 
 @pytest.fixture()
@@ -377,7 +378,7 @@ class TestImport:
         res = subprocess.run(
             [sys.executable, "-c",
              "import sys, linkcolor, linkcolor.cli; print('numpy' in sys.modules)"],
-            capture_output=True, text=True, timeout=120)
+            capture_output=True, text=True, timeout=120, env=src_env())
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "False"
 

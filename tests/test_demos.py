@@ -1,13 +1,11 @@
 """Smoke test: every script under demos/ runs to completion."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
+from conftest import ROOT, src_env
 
-ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
@@ -17,10 +15,7 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
-    src = str(ROOT / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
-    res = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+    res = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=src_env(),
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
     assert "Traceback" not in res.stderr

@@ -11,11 +11,13 @@ import random
 import time
 import tracemalloc
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linkcolor import intlattice
 from linkcolor.diagram import parse_diagram, trace_regions
 from linkcolor.goeritz import goeritz_matrix
 from linkcolor.intlattice import (
@@ -388,15 +390,99 @@ def test_factors_only_path_matches_witness_path(m):
     assert invariant_factors(m) == smith_normal_form(m).phi
 
 
-@pytest.mark.parametrize("crossings,strands", [(50, 5), (65, 7), (80, 9)])
-def test_factors_only_path_on_braid_goeritz(crossings, strands, braid):
+BRAID_SIZES = [(50, 5), (65, 7), (80, 9)]
+
+
+def _braid_goeritz(crossings, strands, braid) -> IntMatrix:
+    """Adjusted Goeritz matrix of a seeded braid closure."""
     code = braid.code_text(braid.braid_closure(
         strands, braid.braid_word(random.Random(crossings), strands, crossings)))
     d = parse_diagram(code)
     rm = trace_regions(d)
-    m = goeritz_matrix(d, rm, checkerboard(rm)[0]).adjusted
+    return goeritz_matrix(d, rm, checkerboard(rm)[0]).adjusted
+
+
+@pytest.mark.parametrize("crossings,strands", BRAID_SIZES)
+def test_factors_only_path_on_braid_goeritz(crossings, strands, braid):
+    m = _braid_goeritz(crossings, strands, braid)
     assert m.rows > 20
     assert invariant_factors(m) == check_snf_invariants(m).phi
+
+
+def _reference_place_pivot(a, rows, cols, p):
+    """The _place_pivot that pivot-local elimination replaced: row steps
+    run along whole rows, column steps down whole columns, and a unit
+    pivot is followed by the divisibility scan like any other. The
+    reference for the reduction, which must agree with it step for step."""
+    while True:
+        found = intlattice._select_pivot(a, rows, cols, p)
+        if found is None:
+            return False
+        bi, bj = found
+        if bi != p:
+            a[p], a[bi] = a[bi], a[p]
+        if bj != p:
+            for row in a:
+                row[p], row[bj] = row[bj], row[p]
+        pivot = a[p][p]
+        clean = True
+        for i in range(p + 1, rows):
+            if a[i][p]:
+                q = a[i][p] // pivot
+                if q:
+                    a[i] = [v - q * u for u, v in zip(a[p], a[i])]
+                if a[i][p]:
+                    clean = False
+        for j in range(p + 1, cols):
+            if a[p][j]:
+                q = a[p][j] // pivot
+                if q:
+                    for row in a:
+                        row[j] -= q * row[p]
+                if a[p][j]:
+                    clean = False
+        if not clean:
+            continue
+        offender = next(((i, j) for i in range(p + 1, rows) for j in range(p + 1, cols)
+                         if a[i][j] % pivot), None)
+        if offender is None:
+            return True
+        i, j = offender
+        a[p] = [u + v for u, v in zip(a[p], a[i])]
+        y = a[p][j]
+        g, s, t = intlattice._xgcd(pivot, y)
+        xg, yg = pivot // g, y // g
+        for row in a:
+            u, v = row[p], row[j]
+            row[p], row[j] = s * u + t * v, xg * v - yg * u
+
+
+def _assert_diagonalize_matches_the_reference(m: IntMatrix):
+    """_diagonalize with _place_pivot and with the reference gives the
+    same diagonal and the same final matrix, on m alone and on m
+    augmented with its witness identities, [[M, I], [I]]."""
+    rows, cols = m.shape
+    bare = m.to_lists()
+    augmented = ([row + [int(i == k) for k in range(rows)] for i, row in enumerate(bare)]
+                 + [[int(i == k) for k in range(cols)] for i in range(cols)])
+    for a in (bare, augmented):
+        mine, ref = [row[:] for row in a], [row[:] for row in a]
+        diagonal = intlattice._diagonalize(mine, rows, cols)
+        with mock.patch.object(intlattice, "_place_pivot", _reference_place_pivot):
+            assert diagonal == intlattice._diagonalize(ref, rows, cols)
+        assert mine == ref
+
+
+@settings(max_examples=300, deadline=None)
+@given(assorted_matrices(side=10))
+def test_pivot_local_elimination_matches_the_reference(m):
+    _assert_diagonalize_matches_the_reference(m)
+
+
+@pytest.mark.parametrize("crossings,strands", BRAID_SIZES)
+def test_pivot_local_elimination_matches_the_reference_on_braid_goeritz(
+        crossings, strands, braid):
+    _assert_diagonalize_matches_the_reference(_braid_goeritz(crossings, strands, braid))
 
 
 def _euclid_hermite_rows(a, rows, cols):
